@@ -304,7 +304,8 @@ def _verify_dataset(dataset, k_values, query_count, seed) -> list[tuple[str, boo
     queries = generate_queries(dataset, query_count, seed + 17,
                                dataset.length // 2 if dataset.n else None)
     engine = build_tal(dataset, min(16, dataset.alphabet.size))
-    ok_complete = ok_strict = ok_tal = ok_work = True
+    full_engine = build_tal(dataset, 1)
+    ok_complete = ok_strict = ok_tal = ok_bucket = ok_work = True
     for i, q in enumerate(queries):
         k = k_values[i % len(k_values)]
         reference = oracle_top_k(dataset, q, k).pairs()
@@ -317,16 +318,20 @@ def _verify_dataset(dataset, k_values, query_count, seed) -> list[tuple[str, boo
             ok_strict = False
         if work.symbols_compared > dataset.length or len(complete.indices) > k:
             ok_work = False
-        full, _ = build_tal(dataset, 1).query(q, k) if i == 0 else (None, None)
-        if full is not None and full.pairs() != reference[: min(k, dataset.n)]:
+        full, _ = full_engine.query(q, k)
+        if full.pairs() != reference[: min(k, dataset.n)]:
             ok_tal = False
+        # every row of the bucket outranks every row outside it
         res, rep = engine.query(q, k)
         lo, hi = engine.bucket_range(q)
+        if res.pairs() != reference[: min(k, hi - lo)]:
+            ok_bucket = False
         if rep.items_scanned != hi - lo:
             ok_work = False
     checks.append(("complete mode equals exhaustive scan", ok_complete))
     checks.append(("strict mode is an exhaustive-scan prefix", ok_strict))
     checks.append(("single-bucket scan equals exhaustive scan", ok_tal))
+    checks.append(("bucketed scan is an exhaustive-scan prefix", ok_bucket))
     checks.append(("per-query work bounds", ok_work))
 
     if engine.directory is not None:

@@ -159,6 +159,32 @@ def ultrametric_distance(s, t) -> int:
     return int(a.shape[0]) - lcp(s, t)
 
 
+def validate_query(q, length: int, sigma: int) -> np.ndarray:
+    """Check a query against an index's length and alphabet; return it as uint16.
+
+    Shared by every query engine, so all of them reject the same inputs with
+    the same :class:`InvalidInputError` messages.
+    """
+    arr = np.asarray(q)
+    if arr.ndim != 1:
+        raise InvalidInputError(f"query must be 1-D, got shape {arr.shape}")
+    if arr.shape[0] != length:
+        raise InvalidInputError(f"query length {arr.shape[0]} != index length {length}")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= sigma):
+        raise InvalidInputError(f"query symbol out of range for alphabet of size {sigma}")
+    return np.ascontiguousarray(arr, dtype=SYMBOL_DTYPE)
+
+
+def memcmp_keys(be_rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a C-contiguous big-endian (``>u2``) array.
+
+    The keys are a view, not a copy.  numpy compares them bytewise, which for
+    big-endian unsigned symbols is exactly the lexicographic row order, so
+    ``argsort`` and ``searchsorted`` work on them directly.
+    """
+    return be_rows.view(np.dtype((np.void, be_rows.shape[1] * 2))).ravel()
+
+
 def lexicographic_order(rows: np.ndarray) -> np.ndarray:
     """Stable lexicographic argsort of uint16 symbol rows (ties keep row order).
 
@@ -170,8 +196,7 @@ def lexicographic_order(rows: np.ndarray) -> np.ndarray:
     if n == 0 or width == 0:
         return np.arange(n, dtype=np.int64)
     be = np.ascontiguousarray(rows.astype(">u2"))
-    keys = be.view(np.dtype((np.void, width * 2))).ravel()
-    return np.argsort(keys, kind="stable")
+    return np.argsort(memcmp_keys(be), kind="stable")
 
 
 def adjacent_lcp(sorted_rows: np.ndarray) -> np.ndarray:

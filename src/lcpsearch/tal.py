@@ -3,11 +3,27 @@
 The dataset is sorted lexicographically once (stable; ties keep item order)
 and partitioned into ``sigma**d`` buckets by the first ``d`` symbols, where
 ``d`` is the smallest depth giving at least the requested bucket count.  A
-query then touches exactly one bucket: the directory (or a binary search on
-the sorted rows; both must agree) yields the half-open row range of the
-query's own prefix, and only that range is scanned.  With ``B`` roughly
-equal buckets this cuts per-query work by about a factor of ``B``; the
-effect is measured in the deterministic work units of :mod:`lcpsearch.work`.
+query touches exactly one bucket: the directory (or a binary search on the
+sorted rows; both must agree) yields the half-open row range of the query's
+own prefix, and only that range is answered from.
+
+The bucket itself is not scanned.  The sorted rows are stored big-endian,
+so each row doubles as a memcmp key, and the rows sharing the query's first
+``t`` symbols form one contiguous range found by binary search (the classic
+suffix-array technique).  The rows next to the query's insertion point give
+the deepest shared prefix ``D``; the ranges for ``t = D, D-1, ..., d`` are
+nested tiers of equal LCP, and the top-k is selected tier by tier from the
+deepest, exactly as the trie's complete mode backtracks.  Only the rows at
+tier boundaries are ever compared with the query, so a query costs
+O(tiers * L log n) plus the rows it selects, and its scratch memory stays
+within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the
+bucket size.
+
+The work units still model a scan of the whole bucket: ``items_scanned`` is
+the bucket size and ``symbols_compared`` is ``sum(min(lcp + 1, L))`` over the
+bucket, computed from the tier widths.  With ``B`` roughly equal buckets this
+cuts modelled work by about a factor of ``B``; that is the ratio the energy
+comparisons of :mod:`lcpsearch.work` report.
 
 There is deliberately no cross-bucket backtracking: a query whose prefix
 bucket is empty returns no hits and scans nothing.
@@ -17,13 +33,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, InternalInvariantError, InvalidInputError, lexicographic_order
-from .trie import QueryResult, _empty_result
+from .core import (
+    Dataset,
+    InternalInvariantError,
+    InvalidInputError,
+    lexicographic_order,
+    memcmp_keys,
+    validate_query,
+)
+from .trie import QueryResult, _empty_result, _smallest
 from .work import WorkReport, work_per_symbol
 
 # Dense directories beyond this many entries would dominate memory; fall back
-# to pure binary search on the sorted prefix keys.
+# to pure binary search on the sorted rows.
 MAX_DIRECTORY_ENTRIES = 1 << 24
+
+# Size of one padded-prefix search-key matrix built by a query: prefix ranges
+# are searched in chunks of this many bytes of keys (at least one key), so
+# short sequences search all their depths at once and long ones a few at a
+# time, and no query allocates O(L^2) bytes.
+NEEDLE_CHUNK_BYTES = 1 << 16
 
 
 def _prefix_depth(sigma: int, bucket_count: int) -> int:
@@ -52,10 +81,16 @@ class TalEngine:
         depth = _prefix_depth(sigma, bucket_count)
 
         order = lexicographic_order(dataset.items)
-        self.rows = np.ascontiguousarray(dataset.items[order])
-        self.item_index = order.astype(np.int64)
+        # Big-endian rows are their own memcmp keys; swap in place so the
+        # build never holds two copies of the rows.
+        rows = dataset.items[order]
+        if rows.dtype != np.dtype(">u2"):
+            rows = rows.byteswap(inplace=True).view(">u2")
+        self.rows = rows
+        self.item_index = order.astype(np.int64, copy=False)
         self.rows.setflags(write=False)
         self.item_index.setflags(write=False)
+        self._keys = memcmp_keys(self.rows)
 
         self.n = dataset.n
         self.length = length
@@ -64,13 +99,6 @@ class TalEngine:
         self.requested_buckets = bucket_count
         self.bucket_count = sigma**depth
         self.c_sym = work_per_symbol(length)
-
-        # Binary-search path: big-endian byte keys of the d-symbol prefixes.
-        if depth > 0:
-            be = np.ascontiguousarray(self.rows[:, :depth].astype(">u2"))
-            self._prefix_keys = be.view(np.dtype((np.void, depth * 2))).ravel()
-        else:
-            self._prefix_keys = None
 
         # Dense directory: row range per prefix code, when it fits.
         self.directory: np.ndarray | None = None
@@ -84,8 +112,6 @@ class TalEngine:
     @property
     def nbytes(self) -> int:
         total = self.rows.nbytes + self.item_index.nbytes
-        if self._prefix_keys is not None:
-            total += self._prefix_keys.nbytes
         if self.directory is not None:
             total += self.directory.nbytes
         return int(total)
@@ -96,16 +122,7 @@ class TalEngine:
     # -- bucket lookup -------------------------------------------------------
 
     def _validate_query(self, q) -> np.ndarray:
-        arr = np.asarray(q)
-        if arr.ndim != 1 or arr.shape[0] != self.length:
-            raise InvalidInputError(
-                f"query must have length {self.length}, got shape {arr.shape}"
-            )
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.sigma):
-            raise InvalidInputError(
-                f"query symbol out of range for alphabet of size {self.sigma}"
-            )
-        return np.ascontiguousarray(arr, dtype=np.uint16)
+        return validate_query(q, self.length, self.sigma)
 
     def prefix_code(self, q: np.ndarray) -> int:
         code = 0
@@ -113,34 +130,85 @@ class TalEngine:
             code = code * self.sigma + int(q[j])
         return code
 
+    def _insertion_point(self, key: np.ndarray, lo: int, hi: int) -> int:
+        """First row in ``[lo, hi)`` not below the big-endian query ``key``."""
+        return lo + int(np.searchsorted(self._keys[lo:hi], memcmp_keys(key[None, :]))[0])
+
+    def _prefix_ranges(
+        self, key: np.ndarray, depths: np.ndarray, lo: int, mid: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row range of the rows starting with ``key[:t]``, for each t in ``depths``.
+
+        ``key[:t]`` padded with 0x0000 is the smallest row with that prefix
+        and padded with 0xFFFF the largest, so one ``searchsorted`` per side
+        finds every range.  Each range must lie in ``[lo, hi)`` and contain
+        the query's insertion point ``mid``.
+        """
+        keep = np.arange(self.length) < depths[:, None]
+        first = memcmp_keys(np.where(keep, key, 0).astype(">u2"))
+        last = memcmp_keys(np.where(keep, key, 0xFFFF).astype(">u2"))
+        starts = lo + np.searchsorted(self._keys[lo:mid], first, side="left")
+        ends = mid + np.searchsorted(self._keys[mid:hi], last, side="right")
+        return starts, ends
+
+    def _tiers(self, key: np.ndarray, lo: int, mid: int, hi: int) -> list[tuple[int, int, int]]:
+        """Equal-LCP tiers of the bucket ``[lo, hi)``, deepest first.
+
+        Each tier is ``(depth, start, end)``: rows ``[start, end)`` share at
+        least ``depth`` symbols with the query, and the rows a tier adds to
+        the one before it share exactly ``depth``.  The next tier's depth is
+        the LCP of the rows just outside the current range; from there the
+        ranges of up to ``NEEDLE_CHUNK_BYTES / 2L`` shallower depths are
+        searched at once, so short sequences take one batch and long ones
+        skip the depths no row stops at.
+        """
+        d0, length = self.bucket_depth, self.length
+        step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
+        tiers = []
+        a = b = mid
+        while (a, b) != (lo, hi):
+            outside = [i for i in (a - 1, b) if lo <= i < hi]
+            neq = self.rows[outside] != key
+            depth = int(np.where(neq.any(axis=1), neq.argmax(axis=1), length).max())
+            depths = np.arange(depth, max(d0 - 1, depth - step), -1)
+            starts, ends = self._prefix_ranges(key, depths, lo, mid, hi)
+            if (starts[0], ends[0]) == (a, b):
+                raise InternalInvariantError(f"no row found sharing {depth} symbols")
+            for t, s, e in zip(depths.tolist(), starts.tolist(), ends.tolist()):
+                if (s, e) != (a, b):
+                    tiers.append((t, s, e))
+                    a, b = s, e
+        return tiers
+
+    def _directory_range(self, query: np.ndarray) -> tuple[int, int]:
+        code = self.prefix_code(query)
+        return int(self.directory[code]), int(self.directory[code + 1])
+
+    def _search_range(self, query: np.ndarray) -> tuple[int, int]:
+        if self.bucket_depth == 0:
+            return 0, self.n
+        key = query.astype(">u2")
+        mid = self._insertion_point(key, 0, self.n)
+        starts, ends = self._prefix_ranges(key, np.array([self.bucket_depth]), 0, mid, self.n)
+        return int(starts[0]), int(ends[0])
+
+    def _bucket(self, query: np.ndarray) -> tuple[int, int]:
+        if self.directory is not None:
+            return self._directory_range(query)
+        return self._search_range(query)
+
     def bucket_range_directory(self, q) -> tuple[int, int]:
         """Row range of the query's prefix bucket via the dense directory."""
         if self.directory is None:
             raise InvalidStateNoDirectory()
-        query = self._validate_query(q)
-        code = self.prefix_code(query)
-        return int(self.directory[code]), int(self.directory[code + 1])
+        return self._directory_range(self._validate_query(q))
 
     def bucket_range_search(self, q) -> tuple[int, int]:
         """Row range of the query's prefix bucket via binary search."""
-        query = self._validate_query(q)
-        if self.bucket_depth == 0:
-            return 0, self.n
-        key = (
-            np.ascontiguousarray(query[: self.bucket_depth].astype(">u2"))
-            .view(np.dtype((np.void, self.bucket_depth * 2)))
-            .ravel()[0]
-        )
-        lo = int(np.searchsorted(self._prefix_keys, key, side="left"))
-        hi = int(np.searchsorted(self._prefix_keys, key, side="right"))
-        return lo, hi
+        return self._search_range(self._validate_query(q))
 
     def bucket_range(self, q) -> tuple[int, int]:
-        if self.directory is not None:
-            query = self._validate_query(q)
-            code = self.prefix_code(query)
-            return int(self.directory[code]), int(self.directory[code + 1])
-        return self.bucket_range_search(q)
+        return self._bucket(self._validate_query(q))
 
     def bucket_sizes(self) -> np.ndarray:
         """Occupancy of every prefix bucket (directory path only)."""
@@ -153,7 +221,7 @@ class TalEngine:
     # -- queries ---------------------------------------------------------------
 
     def query(self, q, k: int, work: WorkReport | None = None) -> tuple[QueryResult, WorkReport]:
-        """Scan the query's bucket only; exact top-k within it.
+        """Exact top-k within the query's bucket, from its equal-LCP tiers.
 
         Returns the per-query work report as well; when ``work`` is given the
         counters are also accumulated there.
@@ -161,7 +229,7 @@ class TalEngine:
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
         query = self._validate_query(q)
-        lo, hi = self.bucket_range(query)
+        lo, hi = self._bucket(query)
         report = self.new_work_report()
         report.queries = 1
         size = hi - lo
@@ -170,20 +238,31 @@ class TalEngine:
                 work.queries += 1
             return _empty_result("tal", self.bucket_depth), report
 
-        block = self.rows[lo:hi]
-        neq = block != query
-        lcps = np.where(neq.any(axis=1), neq.argmax(axis=1), self.length).astype(np.int64)
+        key = query.astype(">u2")
+        mid = self._insertion_point(key, lo, hi)
+        need = min(k, size)
+        out_idx, out_lcp = [], []
+        got = symbols = 0
+        prev_lo = prev_hi = mid
+        for depth, a, b in self._tiers(key, lo, mid, hi):
+            fresh = (prev_lo - a) + (b - prev_hi)
+            # the work model charges each row min(lcp + 1, L) symbol comparisons
+            symbols += fresh * min(depth + 1, self.length)
+            take = min(need - got, fresh)
+            if take:
+                cand = np.concatenate((self.item_index[a:prev_lo], self.item_index[prev_hi:b]))
+                out_idx.append(_smallest(cand, take))
+                out_lcp.append(np.full(take, depth, dtype=np.int64))
+                got += take
+            prev_lo, prev_hi = a, b
+        if (prev_lo, prev_hi) != (lo, hi) or got != need:
+            raise InternalInvariantError("prefix tiers did not cover the bucket")
         report.items_scanned = size
-        report.symbols_compared = int(np.minimum(lcps + 1, self.length).sum())
-        if report.items_scanned > size:
-            raise InternalInvariantError("scan touched rows outside the bucket")
+        report.symbols_compared = symbols
 
-        orig = self.item_index[lo:hi]
-        take = min(k, size)
-        ranking = np.lexsort((orig, -lcps))[:take]
         result = QueryResult(
-            indices=orig[ranking],
-            lcps=lcps[ranking],
+            indices=np.concatenate(out_idx),
+            lcps=np.concatenate(out_lcp),
             matched_depth=self.bucket_depth,
             mode="tal",
         )

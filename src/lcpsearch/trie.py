@@ -45,6 +45,7 @@ from .core import (
     InvalidInputError,
     adjacent_lcp,
     lexicographic_order,
+    validate_query,
 )
 from .work import WorkReport, work_per_symbol
 
@@ -213,18 +214,7 @@ class TrieIndex:
     # -- queries -----------------------------------------------------------
 
     def _validate_query(self, q) -> np.ndarray:
-        arr = np.asarray(q)
-        if arr.ndim != 1:
-            raise InvalidInputError(f"query must be 1-D, got shape {arr.shape}")
-        if arr.shape[0] != self.length:
-            raise InvalidInputError(
-                f"query length {arr.shape[0]} != index length {self.length}"
-            )
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.sigma):
-            raise InvalidInputError(
-                f"query symbol out of range for alphabet of size {self.sigma}"
-            )
-        return np.ascontiguousarray(arr, dtype=np.uint16)
+        return validate_query(q, self.length, self.sigma)
 
     def _descend(self, q: np.ndarray) -> tuple[list[tuple[int, int, int, int]], int]:
         """Walk the query path; returns ((id, depth, lo, hi) per node, comparisons)."""

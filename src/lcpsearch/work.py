@@ -48,7 +48,6 @@ class WorkReport:
     nodes_visited: int = 0
     cache_hits: int = 0
     queries: int = 0
-    elapsed_s: float = 0.0
 
     @property
     def energy_work_units(self) -> float:
@@ -65,7 +64,6 @@ class WorkReport:
             nodes_visited=self.nodes_visited + other.nodes_visited,
             cache_hits=self.cache_hits + other.cache_hits,
             queries=self.queries + other.queries,
-            elapsed_s=self.elapsed_s + other.elapsed_s,
         )
 
     def as_dict(self) -> dict:

@@ -208,3 +208,45 @@ def test_verify_generated_dataset(capsys):
     assert code == 0
     assert out.rstrip().splitlines()[-1] == "OK"
     assert "complete mode equals exhaustive scan" in out
+
+
+def test_verify_reports_both_tal_checks(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "200", "--len", "8", "--sigma", "4",
+                       "--queries", "30", "--seed", "2")
+    assert code == 0
+    assert "OK single-bucket scan equals exhaustive scan" in out
+    assert "OK bucketed scan is an exhaustive-scan prefix" in out
+
+
+@pytest.mark.parametrize(
+    "depth_zero, check",
+    [
+        (True, "single-bucket scan equals exhaustive scan"),
+        (False, "bucketed scan is an exhaustive-scan prefix"),
+    ],
+)
+def test_verify_checks_tal_on_every_query(monkeypatch, capsys, depth_zero, check):
+    # a wrong answer on any query but the first must still fail the check
+    from dataclasses import replace
+
+    from lcpsearch.tal import TalEngine
+
+    real = TalEngine.query
+    calls = []
+
+    def wrong_after_first(self, q, k, work=None):
+        res, report = real(self, q, k, work)
+        if (self.bucket_depth == 0) != depth_zero or len(res.indices) == 0:
+            return res, report
+        calls.append(k)
+        if len(calls) == 1:
+            return res, report
+        return replace(res, indices=res.indices[:-1], lcps=res.lcps[:-1]), report
+
+    monkeypatch.setattr(TalEngine, "query", wrong_after_first)
+    code, out, err = run(capsys, "verify", "--n", "200", "--len", "8", "--sigma", "4",
+                         "--queries", "30", "--seed", "2")
+    assert len(calls) > 1
+    assert code == 4
+    assert f"FAIL {check}" in out
+    assert "1 check(s) failed" in err

@@ -1,6 +1,7 @@
 """Bucketed range-scan engine and the work/energy model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lcpsearch import (
     tal_query,
     work_reduction,
 )
+from lcpsearch import tal
 
 
 def test_bucket_depth_for_256_buckets_binary_alphabet():
@@ -208,6 +210,132 @@ def test_reduction_grows_with_bucket_count():
     assert reductions == sorted(reductions)
     for b, r in zip((4, 16, 64), reductions):
         assert b / 2 <= r <= 2 * b
+
+
+def _profile(ds, q):
+    """LCP of ``q`` against every dataset row, computed independently here."""
+    return np.logical_and.accumulate(ds.items == np.asarray(q), axis=1).sum(axis=1)
+
+
+def _grid_rows(rng, n, length, sigma):
+    """Rows with duplicates and shared prefixes: copies of a small pool, half re-drawn."""
+    pool = rng.integers(0, sigma, size=(max(1, n // 4), length))
+    rows = pool[rng.integers(0, len(pool), size=n)]
+    cut = rng.integers(0, length + 1, size=(n, 1))
+    redraw = (np.arange(length) >= cut) & (rng.random((n, 1)) < 0.5)
+    return np.where(redraw, rng.integers(0, sigma, size=(n, length)), rows)
+
+
+@pytest.mark.parametrize("needle_bytes", [tal.NEEDLE_CHUNK_BYTES, 2])
+def test_randomized_grid_matches_oracle_and_work_model(monkeypatch, needle_bytes):
+    # 2 bytes searches one depth at a time, as the longest sequences do
+    monkeypatch.setattr(tal, "NEEDLE_CHUNK_BYTES", needle_bytes)
+    rng = np.random.default_rng(2024)
+    seen = {"empty": 0, "k_beyond_bucket": 0, "duplicate_hits": 0}
+    for sigma in (2, 3, 4, 16, 300):
+        for length in (1, 2, 5, 11, 19):
+            n = int(rng.integers(1, 160))
+            ds = Dataset.from_rows(_grid_rows(rng, n, length, sigma), sigma)
+            for b in sorted({1, 2, sigma, min(sigma**length, 500)}):
+                engine = build_tal(ds, b)
+                for _ in range(6):
+                    if rng.random() < 0.6:
+                        q = ds.items[rng.integers(0, n)].copy()
+                        c = int(rng.integers(0, length + 1))
+                        q[c:] = rng.integers(0, sigma, size=length - c)
+                    else:
+                        q = rng.integers(0, sigma, size=length)
+                    k = int(rng.choice([1, 4, n + 5]))
+                    res, report = engine.query(q, k)
+                    lcps = _profile(ds, q)
+                    bucket = lcps[lcps >= engine.bucket_depth]
+                    want = oracle_top_k(ds, q, k).pairs()[: min(k, bucket.size)]
+                    assert res.pairs() == want, (sigma, length, b, q.tolist(), k)
+                    assert report.items_scanned == bucket.size
+                    assert report.symbols_compared == int(np.minimum(bucket + 1, length).sum())
+                    seen["empty"] += bucket.size == 0
+                    seen["k_beyond_bucket"] += 0 < bucket.size < k
+                    seen["duplicate_hits"] += int((lcps == length).sum()) > 1
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_prefix_ranges_at_the_top_of_the_alphabet():
+    # 0xFFFF is both a real symbol and the padding of the upper search key
+    top = 0xFFFF
+    rows = np.array([
+        [5, top, top, top],
+        [5, top, top, 0],
+        [5, top, 0, top],
+        [5, 0, top, top],
+        [6, top, top, top],
+        [top, top, top, top],
+        [5, top, top, top],
+    ])
+    ds = Dataset.from_rows(rows, 65536)
+    for b in (1, 65536):
+        engine = build_tal(ds, b)
+        for q in ([5, top, top, top], [5, top, top, 7], [top, top, top, 0], [5, top, 1, 1]):
+            res, report = engine.query(q, 3)
+            lcps = _profile(ds, q)
+            bucket = lcps[lcps >= engine.bucket_depth]
+            assert res.pairs() == oracle_top_k(ds, q, 3).pairs()[: min(3, bucket.size)]
+            assert report.symbols_compared == int(np.minimum(bucket + 1, 4).sum())
+
+
+def test_search_path_equals_directory_path(monkeypatch):
+    ds = generate_dataset(3000, 10, 4, seed=31, distribution="clustered")
+    with_directory = build_tal(ds, 64)
+    monkeypatch.setattr(tal, "MAX_DIRECTORY_ENTRIES", 63)
+    searched = build_tal(ds, 64)
+    assert with_directory.directory is not None and searched.directory is None
+    assert searched.nbytes == with_directory.nbytes - with_directory.directory.nbytes
+    queries = np.vstack([
+        generate_queries(ds, 60, seed=32, prefix_len=5),
+        generate_queries(ds, 60, seed=33),
+    ])
+    for i, q in enumerate(queries):
+        k = (1, 10, 500)[i % 3]
+        assert searched.bucket_range(q) == with_directory.bucket_range(q)
+        a, ra = with_directory.query(q, k)
+        b, rb = searched.query(q, k)
+        assert a.to_bytes() == b.to_bytes()
+        assert ra.as_dict() == rb.as_dict()
+
+
+def test_long_sequences_answer_with_bounded_scratch():
+    length = 65535
+    rng = np.random.default_rng(34)
+    base = rng.integers(0, 4, size=length)
+    rows = np.tile(base, (160, 1))
+    # rows 8.. each leave the query at their own depth; 0..7 equal it
+    depths = rng.choice(length, size=152, replace=False)
+    rows[8 + np.arange(152), depths] = (base[depths] + 1) % 4
+    ds = Dataset.from_rows(rows, 4)
+    engine = build_tal(ds, 16)
+    tracemalloc.start()
+    try:
+        res, report = engine.query(base, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.pairs() == oracle_top_k(ds, base, 12).pairs()
+    assert res.pairs()[:8] == [(i, length) for i in range(8)]
+    lcps = _profile(ds, base)
+    assert report.symbols_compared == int(np.minimum(lcps + 1, length).sum())
+    # a few search keys at a time: far below one byte per bucket symbol
+    # (10 MB here), let alone one key per depth (8.6 GB)
+    assert peak < 32 * max(tal.NEEDLE_CHUNK_BYTES, 2 * length)
+
+
+def test_trie_and_tal_reject_the_same_queries():
+    ds = generate_dataset(40, 6, 4, seed=35)
+    index, engine = build(ds), build_tal(ds, 4)
+    for bad in ([0, 1, 2], [[0] * 6], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, -1, 0]):
+        with pytest.raises(InvalidInputError) as trie_error:
+            index.query(bad, 3)
+        with pytest.raises(InvalidInputError) as tal_error:
+            engine.query(bad, 3)
+        assert str(trie_error.value) == str(tal_error.value)
 
 
 def test_tal_query_module_function():
