@@ -1,8 +1,9 @@
 """Deterministic top-k retrieval by longest-common-prefix similarity.
 
-A trie index answers top-k queries over fixed-length symbol sequences in
-O(L + k) with bit-identical results across runs; a bucketed range-scan
-engine bounds per-query work to one prefix bucket; a brute-force scan
+A trie index, stored as the sorted rows and their permutation, answers
+top-k queries over fixed-length symbol sequences by binary search with
+bit-identical results across runs; a bucketed range-scan engine over the
+same rows bounds per-query work to one prefix bucket; a brute-force scan
 provides independent ground truth; and seeded benchmark scenarios measure
 work in deterministic units rather than hardware joules.
 """

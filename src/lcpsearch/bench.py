@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import ConfigError, Dataset, InvalidStateError
 from .datagen import generate_dataset, generate_queries
-from .tal import build_tal
+from .tal import TalEngine
 from .trie import QueryCache, TrieIndex, build, memoized_query
 from .work import WorkReport, work_reduction
 
@@ -379,7 +379,8 @@ def _scenario_tal_sweep(config: ScenarioConfig) -> ScenarioReport:
     )
     queries = generate_queries(dataset, config.query_count, config.seed + 1, config.prefix_len)
 
-    baseline = build_tal(dataset, 1)
+    index = build(dataset)  # one sort serves every bucket count
+    baseline = TalEngine(index, 1)
     base_work = baseline.new_work_report()
     t0 = time.perf_counter()
     for q in queries:
@@ -389,7 +390,7 @@ def _scenario_tal_sweep(config: ScenarioConfig) -> ScenarioReport:
     rows = []
     wall_rows = []
     for b in config.bucket_counts:
-        engine = build_tal(dataset, int(b))
+        engine = TalEngine(index, int(b))
         work = engine.new_work_report()
         ts = time.perf_counter()
         for q in queries:
@@ -408,7 +409,7 @@ def _scenario_tal_sweep(config: ScenarioConfig) -> ScenarioReport:
         )
         wall_rows.append({"bucket_count": int(b), "elapsed_s": b_elapsed})
 
-    sample_engine = build_tal(dataset, int(config.bucket_counts[-1]))
+    sample_engine = TalEngine(index, int(config.bucket_counts[-1]))
     det = _determinism_check(
         lambda i: sample_engine.query(queries[i], config.k)[0].to_bytes(),
         len(queries),

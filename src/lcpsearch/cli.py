@@ -49,7 +49,7 @@ from .storage import (
     write_index,
     write_vocab,
 )
-from .tal import build_tal
+from .tal import TalEngine
 from .trie import build
 
 EXIT_OK = 0
@@ -303,8 +303,8 @@ def _verify_dataset(dataset, k_values, query_count, seed) -> list[tuple[str, boo
 
     queries = generate_queries(dataset, query_count, seed + 17,
                                dataset.length // 2 if dataset.n else None)
-    engine = build_tal(dataset, min(16, dataset.alphabet.size))
-    full_engine = build_tal(dataset, 1)
+    engine = TalEngine(index, min(16, dataset.alphabet.size))
+    full_engine = TalEngine(index, 1)
     ok_complete = ok_strict = ok_tal = ok_bucket = ok_work = True
     for i, q in enumerate(queries):
         k = k_values[i % len(k_values)]

@@ -24,6 +24,8 @@ MAX_ALPHABET = 65536
 MIN_ALPHABET = 2
 # Sequence length must fit the 2-byte depth field of the index snapshot.
 MAX_LENGTH = 65535
+# Item counts must stay below this: indices are stored as int32.
+MAX_ITEMS = 1 << 31
 
 
 class InvalidInputError(ValueError):

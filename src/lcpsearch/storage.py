@@ -29,12 +29,23 @@ per line (line number = id).
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
-from .core import Alphabet, Dataset, InvalidInputError
-from .trie import TrieIndex
+from .core import (
+    MAX_ALPHABET,
+    MAX_ITEMS,
+    MAX_LENGTH,
+    MIN_ALPHABET,
+    SYMBOL_DTYPE,
+    Alphabet,
+    Dataset,
+    InvalidInputError,
+    adjacent_lcp,
+)
+from .trie import TrieIndex, layout_defect, level_offsets, level_starts
 
 DATASET_MAGIC = b"LCPD"
 INDEX_MAGIC = b"LCPI"
@@ -43,6 +54,8 @@ FORMAT_VERSION = 1
 _DATASET_HEADER = struct.Struct("<4sHBBQII")
 _INDEX_HEADER = struct.Struct("<4sH6BQIIQ")
 _INDEX_WIDTHS = (2, 4, 4, 2, 4, 2)  # symbol, item index, node id, depth, posting len, child count
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 # ---------------------------------------------------------------------------
@@ -54,32 +67,43 @@ def write_dataset(path: str, dataset: Dataset) -> int:
     header = _DATASET_HEADER.pack(
         DATASET_MAGIC, FORMAT_VERSION, 2, 0, dataset.n, dataset.length, dataset.alphabet.size
     )
-    payload = np.ascontiguousarray(dataset.items, dtype="<u2").tobytes()
+    payload = np.ascontiguousarray(dataset.items, dtype="<u2")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-    return len(header) + len(payload)
+    return len(header) + payload.nbytes
 
 
 def read_dataset(path: str) -> Dataset:
+    """Read a dataset file straight into one read-only array of rows."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _DATASET_HEADER.size:
-        raise InvalidInputError(f"{path}: truncated dataset header")
-    magic, version, sym_w, _, n, length, sigma = _DATASET_HEADER.unpack_from(raw, 0)
-    if magic != DATASET_MAGIC:
-        raise InvalidInputError(f"{path}: not a dataset file (bad magic {magic!r})")
-    if version != FORMAT_VERSION:
-        raise InvalidInputError(f"{path}: unsupported dataset version {version}")
-    if sym_w != 2:
-        raise InvalidInputError(f"{path}: unsupported symbol width {sym_w}")
-    expected = _DATASET_HEADER.size + n * length * 2
-    if len(raw) != expected:
+        head = fh.read(_DATASET_HEADER.size)
+        if len(head) < _DATASET_HEADER.size:
+            raise InvalidInputError(f"{path}: truncated dataset header")
+        magic, version, sym_w, _, n, length, sigma = _DATASET_HEADER.unpack(head)
+        if magic != DATASET_MAGIC:
+            raise InvalidInputError(f"{path}: not a dataset file (bad magic {magic!r})")
+        if version != FORMAT_VERSION:
+            raise InvalidInputError(f"{path}: unsupported dataset version {version}")
+        if sym_w != 2:
+            raise InvalidInputError(f"{path}: unsupported symbol width {sym_w}")
+        expected = _DATASET_HEADER.size + n * length * 2
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise InvalidInputError(
+                f"{path}: payload size mismatch (expected {expected} bytes, found {found})"
+            )
+        rows = np.empty((n, length), dtype="<u2")
+        if fh.readinto(rows) != rows.nbytes:
+            raise InvalidInputError(f"{path}: payload shrank while being read")
+    alphabet = Alphabet(sigma)
+    if rows.size and int(rows.max()) >= sigma:
         raise InvalidInputError(
-            f"{path}: payload size mismatch (expected {expected} bytes, found {len(raw)})"
+            f"{path}: symbol {int(rows.max())} out of range for alphabet of size {sigma}"
         )
-    rows = np.frombuffer(raw, dtype="<u2", offset=_DATASET_HEADER.size).reshape(n, length)
-    return Dataset.from_rows(rows.astype(np.uint16), Alphabet(sigma))
+    items = rows.astype(SYMBOL_DTYPE, copy=False)
+    items.setflags(write=False)
+    return Dataset(alphabet=alphabet, length=length, items=items)
 
 
 # ---------------------------------------------------------------------------
@@ -140,73 +164,68 @@ def read_vocab(path: str) -> dict[str, int]:
 # Index snapshots
 # ---------------------------------------------------------------------------
 
-def _scatter_u16(buf: np.ndarray, pos: np.ndarray, values: np.ndarray) -> None:
+def _scatter(buf: np.ndarray, pos: np.ndarray, values: np.ndarray, width: int) -> None:
+    """Write ``values`` as little-endian unsigned fields of ``width`` bytes at ``pos``."""
     v = values.astype(np.int64)
-    buf[pos] = (v & 0xFF).astype(np.uint8)
-    buf[pos + 1] = ((v >> 8) & 0xFF).astype(np.uint8)
-
-
-def _scatter_u32(buf: np.ndarray, pos: np.ndarray, values: np.ndarray) -> None:
-    v = values.astype(np.int64)
-    for byte in range(4):
+    for byte in range(width):
         buf[pos + byte] = ((v >> (8 * byte)) & 0xFF).astype(np.uint8)
 
 
+def _gather(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """Little-endian unsigned fields of ``width`` bytes starting at each of ``pos``."""
+    value = np.zeros(pos.size, dtype=np.int64)
+    for byte in range(width):
+        value |= buf[pos + byte].astype(np.int64) << (8 * byte)
+    return value
+
+
+def _entry_positions(first: np.ndarray, counts: np.ndarray, stride: int) -> np.ndarray:
+    """Offsets of ``counts[i]`` entries ``stride`` bytes apart from ``first[i]``, for every i."""
+    within = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(first, counts) + stride * within
+
+
 def index_snapshot_bytes(index: TrieIndex) -> bytes:
-    """Serialize a built index; byte-identical for identical datasets."""
+    """Serialize a built index; byte-identical for identical datasets.
+
+    The nodes of each level are the runs of sorted rows derived from the
+    adjacent-LCP array (see :func:`lcpsearch.trie.level_starts`).
+    """
+    n, length = index.n, index.length
+    adj = adjacent_lcp(index.rows)
+    offs = level_offsets(adj, n, length)
     header = _INDEX_HEADER.pack(
-        INDEX_MAGIC,
-        FORMAT_VERSION,
-        *_INDEX_WIDTHS,
-        index.n,
-        index.length,
-        index.sigma,
-        index.node_count,
+        INDEX_MAGIC, FORMAT_VERSION, *_INDEX_WIDTHS, n, length, index.sigma, int(offs[-1])
     )
     chunks = [header]
-    n = index.n
-    offs = index.level_offset
-    for d in range(index.length + 1):
-        base, end = int(offs[d]), int(offs[d + 1])
-        m = end - base
-        if m == 0:
-            continue
-        lvl_lo = index.row_lo[base:end].astype(np.int64)
-        sizes = np.append(lvl_lo[1:], n) - lvl_lo
-        is_leaf_level = d == index.length
-        if is_leaf_level or n == 0:
-            plen = sizes if (is_leaf_level and n > 0) else np.zeros(m, dtype=np.int64)
+    lvl_lo = level_starts(adj, n, 0)
+    for d in range(length + 1):
+        m = lvl_lo.size
+        if d == length or n == 0:
+            plen = np.append(lvl_lo[1:], n) - lvl_lo if n else np.zeros(m, dtype=np.int64)
             rec_sizes = 8 + 4 * plen
             starts = np.concatenate(([0], np.cumsum(rec_sizes)))
             buf = np.zeros(int(starts[-1]), dtype=np.uint8)
-            _scatter_u16(buf, starts[:-1], np.full(m, d))
-            _scatter_u32(buf, starts[:-1] + 2, plen)
-            if plen.sum() > 0:
-                # posting stream in id order is exactly the sort permutation
-                leaf_of = np.searchsorted(lvl_lo, np.arange(n), side="right") - 1
-                rank = np.arange(n) - lvl_lo[leaf_of]
-                pos = starts[leaf_of] + 6 + 4 * rank
-                _scatter_u32(buf, pos, index.order.astype(np.int64))
-            _scatter_u16(buf, starts[:-1] + 6 + 4 * plen, np.zeros(m, dtype=np.int64))
+            _scatter(buf, starts[:-1], np.full(m, d), 2)
+            _scatter(buf, starts[:-1] + 2, plen, 4)
+            # posting stream in id order is exactly the sort permutation;
+            # the child counts after it stay zero
+            _scatter(buf, _entry_positions(starts[:-1] + 6, plen, 4), index.order, 4)
             chunks.append(buf.tobytes())
-        else:
-            nb, ne = int(offs[d + 1]), int(offs[d + 2])
-            child_lo = index.row_lo[nb:ne].astype(np.int64)
-            first_child = np.searchsorted(child_lo, lvl_lo, side="left")
-            cc = np.append(first_child[1:], ne - nb) - first_child
-            rec_sizes = 8 + 6 * cc
-            starts = np.concatenate(([0], np.cumsum(rec_sizes)))
-            buf = np.zeros(int(starts[-1]), dtype=np.uint8)
-            _scatter_u16(buf, starts[:-1], np.full(m, d))
-            _scatter_u16(buf, starts[:-1] + 6, cc)
-            n_children = ne - nb
-            if n_children:
-                parent = np.searchsorted(first_child, np.arange(n_children), side="right") - 1
-                rank = np.arange(n_children) - first_child[parent]
-                pos = starts[parent] + 8 + 6 * rank
-                _scatter_u16(buf, pos, index.edge_symbol[nb:ne])
-                _scatter_u32(buf, pos + 2, np.arange(nb, ne, dtype=np.int64))
-            chunks.append(buf.tobytes())
+            break
+        child_lo = level_starts(adj, n, d + 1)
+        first_child = np.searchsorted(child_lo, lvl_lo, side="left")
+        cc = np.append(first_child[1:], child_lo.size) - first_child
+        rec_sizes = 8 + 6 * cc
+        starts = np.concatenate(([0], np.cumsum(rec_sizes)))
+        buf = np.zeros(int(starts[-1]), dtype=np.uint8)
+        _scatter(buf, starts[:-1], np.full(m, d), 2)
+        _scatter(buf, starts[:-1] + 6, cc, 2)
+        pos = _entry_positions(starts[:-1] + 8, cc, 6)
+        _scatter(buf, pos, index.rows[child_lo, d], 2)
+        _scatter(buf, pos + 2, np.arange(offs[d + 1], offs[d + 2], dtype=np.int64), 4)
+        chunks.append(buf.tobytes())
+        lvl_lo = child_lo
     return b"".join(chunks)
 
 
@@ -224,166 +243,86 @@ def read_index(path: str) -> TrieIndex:
 
 
 def index_from_snapshot_bytes(raw: bytes, name: str = "<bytes>") -> TrieIndex:
+    """Load a snapshot, accepting only the canonical encoding of a valid index.
+
+    Every other input raises :class:`InvalidInputError`: the reader rebuilds
+    the sorted rows and the permutation, checks them, and then requires that
+    they encode back to exactly ``raw``.
+    """
     if len(raw) < _INDEX_HEADER.size:
         raise InvalidInputError(f"{name}: truncated index header")
     fields = _INDEX_HEADER.unpack_from(raw, 0)
     magic, version = fields[0], fields[1]
     widths = fields[2:8]
-    n, length, sigma, node_count = fields[8:]
+    n, length, sigma, _ = fields[8:]
     if magic != INDEX_MAGIC:
         raise InvalidInputError(f"{name}: not an index snapshot (bad magic {magic!r})")
     if version != FORMAT_VERSION:
         raise InvalidInputError(f"{name}: unsupported snapshot version {version}")
     if tuple(widths) != _INDEX_WIDTHS:
         raise InvalidInputError(f"{name}: unsupported field widths {widths}")
+    if n >= MAX_ITEMS:
+        raise InvalidInputError(f"{name}: {n} items exceed the limit of {MAX_ITEMS - 1}")
+    if not 1 <= length <= MAX_LENGTH:
+        raise InvalidInputError(f"{name}: sequence length {length} outside [1, {MAX_LENGTH}]")
+    if not MIN_ALPHABET <= sigma <= MAX_ALPHABET:
+        raise InvalidInputError(
+            f"{name}: alphabet size {sigma} outside [{MIN_ALPHABET}, {MAX_ALPHABET}]"
+        )
 
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    view = memoryview(raw)
+    # Record starts, posting lengths and child counts, level by level: each
+    # level holds as many records as the level above has children.
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     pos = _INDEX_HEADER.size
-    parsed = 0
-    level_counts: list[int] = []
-    level_meta: list[dict] = []
-    expected_level = 1
-
-    while parsed < node_count:
-        count = expected_level
-        starts = np.empty(count, dtype=np.int64)
-        plens = np.empty(count, dtype=np.int64)
-        ccs = np.empty(count, dtype=np.int64)
-        depth_seen = None
-        for i in range(count):
+    count = 1
+    while count:
+        if len(levels) > length:
+            raise InvalidInputError(f"{name}: node depth exceeds declared length {length}")
+        starts, plens, ccs = [], [], []
+        for _ in range(count):
             if pos + 8 > len(raw):
                 raise InvalidInputError(f"{name}: truncated node record at byte {pos}")
-            starts[i] = pos
-            depth = int.from_bytes(view[pos : pos + 2], "little")
-            plen = int.from_bytes(view[pos + 2 : pos + 6], "little")
+            plen = _U32.unpack_from(raw, pos + 2)[0]
             cc_at = pos + 6 + 4 * plen
             if cc_at + 2 > len(raw):
                 raise InvalidInputError(f"{name}: truncated posting list at byte {pos}")
-            cc = int.from_bytes(view[cc_at : cc_at + 2], "little")
-            if depth_seen is None:
-                depth_seen = depth
-            elif depth != depth_seen:
-                raise InvalidInputError(
-                    f"{name}: node {parsed + i} depth {depth} breaks level order"
-                )
-            plens[i] = plen
-            ccs[i] = cc
+            cc = _U16.unpack_from(raw, cc_at)[0]
+            starts.append(pos)
+            plens.append(plen)
+            ccs.append(cc)
             pos = cc_at + 2 + 6 * cc
-        d = len(level_counts)
-        if depth_seen != d:
-            raise InvalidInputError(f"{name}: expected depth {d}, found {depth_seen}")
-        level_counts.append(count)
-        level_meta.append({"starts": starts, "plens": plens, "ccs": ccs})
-        parsed += count
-        expected_level = int(ccs.sum())
-        if expected_level == 0:
-            break
-    if parsed != node_count:
-        raise InvalidInputError(
-            f"{name}: header claims {node_count} nodes, file holds {parsed}"
-        )
+        if pos > len(raw):
+            raise InvalidInputError(f"{name}: truncated child list")
+        levels.append((np.array(starts), np.array(plens), np.array(ccs)))
+        count = sum(ccs)
     if pos != len(raw):
         raise InvalidInputError(f"{name}: {len(raw) - pos} trailing bytes")
 
-    depth_levels = len(level_counts) - 1
-    if depth_levels > length:
-        raise InvalidInputError(f"{name}: node depth exceeds declared length {length}")
-
-    level_offset = np.zeros(length + 2, dtype=np.int64)
-    total = 0
-    for d in range(length + 2):
-        level_offset[d] = total
-        if d < len(level_counts):
-            total += level_counts[d]
-    level_offset[len(level_counts) :] = total
-
-    edge_symbol = np.zeros(node_count, dtype=np.uint16)
-    order_parts: list[np.ndarray] = []
-    sizes_by_level: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(level_counts)
-
-    # Children must be the next level's ids in order; recover edge symbols.
-    next_id = 1
-    for d, meta in enumerate(level_meta):
-        total_children = int(meta["ccs"].sum())
-        if total_children == 0:
-            continue
-        syms = np.empty(total_children, dtype=np.uint16)
-        cids = np.empty(total_children, dtype=np.int64)
-        j = 0
-        for s, plen, cc in zip(meta["starts"], meta["plens"], meta["ccs"]):
-            base = int(s) + 6 + 4 * int(plen) + 2
-            if cc:
-                pairs = buf[base : base + 6 * int(cc)].reshape(int(cc), 6)
-                syms[j : j + int(cc)] = pairs[:, 0].astype(np.uint16) | (
-                    pairs[:, 1].astype(np.uint16) << 8
-                )
-                cid = (
-                    pairs[:, 2].astype(np.int64)
-                    | (pairs[:, 3].astype(np.int64) << 8)
-                    | (pairs[:, 4].astype(np.int64) << 16)
-                    | (pairs[:, 5].astype(np.int64) << 24)
-                )
-                cids[j : j + int(cc)] = cid
-                j += int(cc)
-        expected_ids = np.arange(next_id, next_id + total_children, dtype=np.int64)
-        if not np.array_equal(np.sort(cids), expected_ids):
-            raise InvalidInputError(f"{name}: child ids at depth {d} are not the next level")
-        edge_symbol[cids] = syms
-        next_id += total_children
-
-    # Postings (leaf level) concatenated in id order form the sort permutation.
-    leaf_meta = level_meta[-1]
-    plens = leaf_meta["plens"]
-    if int(plens.sum()) != n:
-        raise InvalidInputError(
-            f"{name}: posting lists hold {int(plens.sum())} items, header claims {n}"
-        )
-    for s, plen in zip(leaf_meta["starts"], plens):
-        if plen:
-            start = int(s) + 6
-            chunk = buf[start : start + 4 * int(plen)].reshape(int(plen), 4)
-            order_parts.append(
-                chunk[:, 0].astype(np.int64)
-                | (chunk[:, 1].astype(np.int64) << 8)
-                | (chunk[:, 2].astype(np.int64) << 16)
-                | (chunk[:, 3].astype(np.int64) << 24)
+    # Postings (leaf level) concatenated in id order form the sort permutation;
+    # each row column repeats its level's edge symbols by the subtree sizes.
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    order = np.zeros(0, dtype=np.int64)
+    rows = np.zeros((n, length), dtype=">u2")
+    if n:
+        if len(levels) != length + 1:
+            raise InvalidInputError(f"{name}: leaves at depth {len(levels) - 1}, expected {length}")
+        starts, sizes, _ = levels[-1]
+        if int(sizes.sum()) != n:
+            raise InvalidInputError(
+                f"{name}: posting lists hold {int(sizes.sum())} items, header claims {n}"
             )
-    order = (
-        np.concatenate(order_parts) if order_parts else np.zeros(0, dtype=np.int64)
-    )
+        order = _gather(buf, _entry_positions(starts + 6, sizes, 4), 4)
+        for d in range(length, 0, -1):
+            starts, plens, ccs = levels[d - 1]
+            symbols = _gather(buf, _entry_positions(starts + 8 + 4 * plens, ccs, 6), 2)
+            rows[:, d - 1] = np.repeat(symbols, sizes)
+            below = np.concatenate(([0], np.cumsum(sizes)))
+            sizes = np.diff(below[np.concatenate(([0], np.cumsum(ccs)))])
 
-    # Subtree sizes bottom-up, then row offsets as per-level exclusive cumsums.
-    sizes_by_level[-1] = plens.copy()
-    for d in range(len(level_counts) - 2, -1, -1):
-        ccs = level_meta[d]["ccs"]
-        if n > 0 and (ccs < 1).any():
-            raise InvalidInputError(f"{name}: childless interior node at depth {d}")
-        child_sizes = sizes_by_level[d + 1]
-        firsts = np.concatenate(([0], np.cumsum(ccs)))[:-1]
-        if child_sizes.size:
-            sizes = np.add.reduceat(child_sizes, firsts)
-        else:
-            sizes = level_meta[d]["plens"].copy()
-        sizes_by_level[d] = sizes
-
-    row_parts = []
-    for sizes in sizes_by_level:
-        row_parts.append(np.concatenate(([0], np.cumsum(sizes)))[:-1])
-    row_lo = (
-        np.concatenate(row_parts).astype(np.int32)
-        if row_parts
-        else np.zeros(1, dtype=np.int32)
-    )
-
-    index = TrieIndex(
-        n=int(n),
-        length=int(length),
-        sigma=int(sigma),
-        order=order.astype(np.int32),
-        row_lo=row_lo,
-        edge_symbol=edge_symbol,
-        level_offset=level_offset,
-    )
-    index.check_invariants()
+    defect = layout_defect(rows, order, sigma)
+    if defect is not None:
+        raise InvalidInputError(f"{name}: {defect}")
+    index = TrieIndex(sigma=int(sigma), rows=rows, order=order.astype(np.int32))
+    if index_snapshot_bytes(index) != raw:
+        raise InvalidInputError(f"{name}: not the canonical encoding of the index it holds")
     return index

@@ -1,23 +1,22 @@
 """TAL: bucketed range-scan query execution over a prefix-sorted array.
 
-The dataset is sorted lexicographically once (stable; ties keep item order)
-and partitioned into ``sigma**d`` buckets by the first ``d`` symbols, where
-``d`` is the smallest depth giving at least the requested bucket count.  A
+The engine serves from the sorted rows of a :class:`~lcpsearch.trie.TrieIndex`
+(stable lexicographic order; ties keep item order), partitioned into
+``sigma**d`` buckets by the first ``d`` symbols, where ``d`` is the smallest
+depth giving at least the requested bucket count.  It adds only a dense
+directory of bucket boundaries, so any number of engines share one sort.  A
 query touches exactly one bucket: the directory (or a binary search on the
 sorted rows; both must agree) yields the half-open row range of the query's
 own prefix, and only that range is answered from.
 
-The bucket itself is not scanned.  The sorted rows are stored big-endian,
-so each row doubles as a memcmp key, and the rows sharing the query's first
-``t`` symbols form one contiguous range found by binary search (the classic
-suffix-array technique).  The rows next to the query's insertion point give
-the deepest shared prefix ``D``; the ranges for ``t = D, D-1, ..., d`` are
-nested tiers of equal LCP, and the top-k is selected tier by tier from the
-deepest, exactly as the trie's complete mode backtracks.  Only the rows at
-tier boundaries are ever compared with the query, so a query costs
-O(tiers * L log n) plus the rows it selects, and its scratch memory stays
-within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the
-bucket size.
+The bucket itself is not scanned.  The rows sharing the query's first ``t``
+symbols form one contiguous range found by binary search, and the ranges for
+``t = D, D-1, ..., d`` are nested tiers of equal LCP; the top-k is selected
+tier by tier from the deepest, exactly as the trie's complete mode does (see
+:meth:`~lcpsearch.trie.TrieIndex._tiers`).  Only the rows at tier boundaries
+are ever compared with the query, so a query costs O(tiers * L log n) plus
+the rows it selects, and its scratch memory stays within a few times
+``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the bucket size.
 
 The work units still model a scan of the whole bucket: ``items_scanned`` is
 the bucket size and ``symbols_compared`` is ``sum(min(lcp + 1, L))`` over the
@@ -33,26 +32,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    InternalInvariantError,
-    InvalidInputError,
-    lexicographic_order,
-    memcmp_keys,
-    validate_query,
-)
-from .trie import QueryResult, _empty_result, _smallest
-from .work import WorkReport, work_per_symbol
+from .core import Dataset, InternalInvariantError, InvalidInputError, validate_query
+from .trie import QueryResult, TrieIndex, _empty_result, _smallest, build
+from .trie import NEEDLE_CHUNK_BYTES  # noqa: F401  (the scratch bound named above)
+from .work import WorkReport
 
 # Dense directories beyond this many entries would dominate memory; fall back
 # to pure binary search on the sorted rows.
 MAX_DIRECTORY_ENTRIES = 1 << 24
-
-# Size of one padded-prefix search-key matrix built by a query: prefix ranges
-# are searched in chunks of this many bytes of keys (at least one key), so
-# short sequences search all their depths at once and long ones a few at a
-# time, and no query allocates O(L^2) bytes.
-NEEDLE_CHUNK_BYTES = 1 << 16
 
 
 def _prefix_depth(sigma: int, bucket_count: int) -> int:
@@ -68,11 +55,11 @@ def _prefix_depth(sigma: int, bucket_count: int) -> int:
 class TalEngine:
     """Immutable bucketed scan engine; safe for concurrent readers."""
 
-    def __init__(self, dataset: Dataset, bucket_count: int):
+    def __init__(self, index: TrieIndex, bucket_count: int):
         if bucket_count < 1:
             raise InvalidInputError(f"bucket count must be >= 1, got {bucket_count}")
-        sigma = dataset.alphabet.size
-        length = dataset.length
+        sigma = index.sigma
+        length = index.length
         if bucket_count > sigma**length:
             raise InvalidInputError(
                 f"bucket count {bucket_count} needs prefix depth beyond the "
@@ -80,25 +67,16 @@ class TalEngine:
             )
         depth = _prefix_depth(sigma, bucket_count)
 
-        order = lexicographic_order(dataset.items)
-        # Big-endian rows are their own memcmp keys; swap in place so the
-        # build never holds two copies of the rows.
-        rows = dataset.items[order]
-        if rows.dtype != np.dtype(">u2"):
-            rows = rows.byteswap(inplace=True).view(">u2")
-        self.rows = rows
-        self.item_index = order.astype(np.int64, copy=False)
-        self.rows.setflags(write=False)
-        self.item_index.setflags(write=False)
-        self._keys = memcmp_keys(self.rows)
-
-        self.n = dataset.n
+        self.index = index
+        self.rows = index.rows
+        self.item_index = index.order
+        self.n = index.n
         self.length = length
         self.sigma = sigma
         self.bucket_depth = depth
         self.requested_buckets = bucket_count
         self.bucket_count = sigma**depth
-        self.c_sym = work_per_symbol(length)
+        self.c_sym = index.c_sym
 
         # Dense directory: row range per prefix code, when it fits.
         self.directory: np.ndarray | None = None
@@ -111,7 +89,8 @@ class TalEngine:
 
     @property
     def nbytes(self) -> int:
-        total = self.rows.nbytes + self.item_index.nbytes
+        """The shared index plus this engine's directory."""
+        total = self.index.nbytes
         if self.directory is not None:
             total += self.directory.nbytes
         return int(total)
@@ -130,56 +109,6 @@ class TalEngine:
             code = code * self.sigma + int(q[j])
         return code
 
-    def _insertion_point(self, key: np.ndarray, lo: int, hi: int) -> int:
-        """First row in ``[lo, hi)`` not below the big-endian query ``key``."""
-        return lo + int(np.searchsorted(self._keys[lo:hi], memcmp_keys(key[None, :]))[0])
-
-    def _prefix_ranges(
-        self, key: np.ndarray, depths: np.ndarray, lo: int, mid: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row range of the rows starting with ``key[:t]``, for each t in ``depths``.
-
-        ``key[:t]`` padded with 0x0000 is the smallest row with that prefix
-        and padded with 0xFFFF the largest, so one ``searchsorted`` per side
-        finds every range.  Each range must lie in ``[lo, hi)`` and contain
-        the query's insertion point ``mid``.
-        """
-        keep = np.arange(self.length) < depths[:, None]
-        first = memcmp_keys(np.where(keep, key, 0).astype(">u2"))
-        last = memcmp_keys(np.where(keep, key, 0xFFFF).astype(">u2"))
-        starts = lo + np.searchsorted(self._keys[lo:mid], first, side="left")
-        ends = mid + np.searchsorted(self._keys[mid:hi], last, side="right")
-        return starts, ends
-
-    def _tiers(self, key: np.ndarray, lo: int, mid: int, hi: int) -> list[tuple[int, int, int]]:
-        """Equal-LCP tiers of the bucket ``[lo, hi)``, deepest first.
-
-        Each tier is ``(depth, start, end)``: rows ``[start, end)`` share at
-        least ``depth`` symbols with the query, and the rows a tier adds to
-        the one before it share exactly ``depth``.  The next tier's depth is
-        the LCP of the rows just outside the current range; from there the
-        ranges of up to ``NEEDLE_CHUNK_BYTES / 2L`` shallower depths are
-        searched at once, so short sequences take one batch and long ones
-        skip the depths no row stops at.
-        """
-        d0, length = self.bucket_depth, self.length
-        step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
-        tiers = []
-        a = b = mid
-        while (a, b) != (lo, hi):
-            outside = [i for i in (a - 1, b) if lo <= i < hi]
-            neq = self.rows[outside] != key
-            depth = int(np.where(neq.any(axis=1), neq.argmax(axis=1), length).max())
-            depths = np.arange(depth, max(d0 - 1, depth - step), -1)
-            starts, ends = self._prefix_ranges(key, depths, lo, mid, hi)
-            if (starts[0], ends[0]) == (a, b):
-                raise InternalInvariantError(f"no row found sharing {depth} symbols")
-            for t, s, e in zip(depths.tolist(), starts.tolist(), ends.tolist()):
-                if (s, e) != (a, b):
-                    tiers.append((t, s, e))
-                    a, b = s, e
-        return tiers
-
     def _directory_range(self, query: np.ndarray) -> tuple[int, int]:
         code = self.prefix_code(query)
         return int(self.directory[code]), int(self.directory[code + 1])
@@ -188,8 +117,10 @@ class TalEngine:
         if self.bucket_depth == 0:
             return 0, self.n
         key = query.astype(">u2")
-        mid = self._insertion_point(key, 0, self.n)
-        starts, ends = self._prefix_ranges(key, np.array([self.bucket_depth]), 0, mid, self.n)
+        mid = self.index._insertion_point(key, 0, self.n)
+        starts, ends = self.index._prefix_ranges(
+            key, np.array([self.bucket_depth]), 0, mid, self.n
+        )
         return int(starts[0]), int(ends[0])
 
     def _bucket(self, query: np.ndarray) -> tuple[int, int]:
@@ -239,12 +170,12 @@ class TalEngine:
             return _empty_result("tal", self.bucket_depth), report
 
         key = query.astype(">u2")
-        mid = self._insertion_point(key, lo, hi)
+        mid = self.index._insertion_point(key, lo, hi)
         need = min(k, size)
         out_idx, out_lcp = [], []
         got = symbols = 0
         prev_lo = prev_hi = mid
-        for depth, a, b in self._tiers(key, lo, mid, hi):
+        for depth, a, b in self.index._tiers(key, lo, mid, hi, self.bucket_depth):
             fresh = (prev_lo - a) + (b - prev_hi)
             # the work model charges each row min(lcp + 1, L) symbol comparisons
             symbols += fresh * min(depth + 1, self.length)
@@ -278,12 +209,14 @@ class InvalidStateNoDirectory(InvalidInputError):
 
 
 def build_tal(dataset: Dataset, bucket_count: int) -> TalEngine:
-    """Build the bucketed scan engine for roughly ``bucket_count`` buckets.
+    """Build the index and a bucketed scan engine for roughly ``bucket_count`` buckets.
 
     The effective bucket count is ``sigma**d`` for the smallest depth ``d``
-    covering the request; requests beyond ``sigma**L`` are invalid.
+    covering the request; requests beyond ``sigma**L`` are invalid.  To
+    serve several bucket counts from one sort, build the index once and
+    construct a :class:`TalEngine` per count over it.
     """
-    return TalEngine(dataset, bucket_count)
+    return TalEngine(build(dataset), bucket_count)
 
 
 def tal_query(engine: TalEngine, q, k: int) -> tuple[QueryResult, WorkReport]:

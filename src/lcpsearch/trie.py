@@ -1,35 +1,56 @@
-"""Prefix-tree index over a fixed-length dataset with O(L + k) queries.
+"""Prefix-tree index over a fixed-length dataset, stored as its sorted rows.
 
-Construction sorts the dataset once (stable, lexicographic) and lays the trie
-out as a flat arena: node ids are assigned level by level (breadth-first),
-and within a level in sorted-prefix order.  Because every item has the same
-length, each level's nodes partition the sorted row range ``[0, n)``, so a
-node is fully described by the row offset where its range starts plus the
-symbol on its incoming edge.  Everything else is derived:
+Layout
+------
+Construction sorts the dataset once (stable, lexicographic) and keeps two
+arrays and nothing else:
 
-- ``subtree_size`` is the width of the node's row range;
-- a node's children are the next level's nodes whose ranges fall inside its
-  own (found by binary search);
-- posting lists exist only at depth ``L`` and are slices of the sort
-  permutation, so the permutation itself is the concatenation of all posting
-  lists in id order.
+- ``rows``: the sorted rows, big-endian (``>u2``), so that each row is its
+  own memcmp search key (:func:`lcpsearch.core.memcmp_keys`, a view);
+- ``order``: the sort permutation (int32), the item index of each row.
 
-This keeps the arena at 6 bytes per node plus 4 bytes per item and makes
-every byte of the structure a pure function of the dataset: no hashing, no
-pointer addresses, no iteration-order dependence.  A built index is
+That is ``2L + 4`` bytes per item.  The trie is implicit: because every item
+has the same length, the depth-``d`` nodes are the maximal runs of rows that
+share their first ``d`` symbols (the lcp-intervals of the rows), so a node is
+fully described by its depth and its row range.  Its subtree size is the
+width of the range, its children are the runs of equal symbols in column
+``d`` of the range, and its posting list, non-empty only at depth ``L``, is
+its slice of ``order``.  Node ids (level by level, within a level in sorted
+order), node counts and level offsets are derived on demand from the
+adjacent-LCP array; no query needs them.
+
+Every byte of the structure is a pure function of the dataset: no hashing,
+no pointer addresses, no iteration-order dependence.  A built index is
 immutable and may be queried concurrently without synchronization.
+
+Query path
+----------
+One binary search on the row keys gives the query's insertion point, and
+the rows on either side of it give the matched depth ``D``.  The rows sharing
+the query's first ``t`` symbols form one contiguous range containing that
+point, found by binary search with the query prefix padded by 0x0000 (left
+end) and 0xFFFF (right end), the classic suffix-array technique.  The ranges
+for ``t = D, D-1, ...`` are nested tiers of equal LCP, walked deepest first.
+A query costs ``O(L log n)`` per binary search, one for the insertion point
+and one per side per depth searched, plus the rows it selects; its scratch
+memory stays within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  The
+TAL engine (:mod:`lcpsearch.tal`) walks the same tiers inside one bucket.
 
 Query semantics
 ---------------
-``strict`` mode descends to the deepest node whose path matches the query
-and returns up to ``k`` items from that subtree only; it may return fewer
-than ``k`` when the subtree is small.  ``complete`` mode continues from
-there, backtracking ancestor by ancestor and pulling items from the not-yet
-visited part of each ancestor's range (those items match exactly at the
-ancestor's depth), until ``min(k, n)`` hits.  In both modes hits are ordered
-by (lcp descending, item index ascending), and within an equal-lcp tier the
-*selection* is also by ascending index, so results agree exactly with the
-exhaustive definition of top-k under index tie-breaking.
+``strict`` mode returns up to ``k`` items from the deepest tier only, the
+subtree of the deepest node whose path matches the query; it may return
+fewer than ``k`` when the subtree is small.  ``complete`` mode continues
+through the shallower tiers, each the not-yet-visited part of one ancestor's
+range (those items match exactly at the ancestor's depth), until
+``min(k, n)`` hits.  In both modes hits are ordered by (lcp descending, item
+index ascending), and within an equal-lcp tier the *selection* is also by
+ascending index, so results agree exactly with the exhaustive definition of
+top-k under index tie-breaking.
+
+The work counters model a node-by-node descent: ``symbols_compared`` is
+``min(D + 1, L)`` and ``nodes_visited`` is ``D + 1`` plus, in complete mode,
+one per ancestor walked.
 """
 
 from __future__ import annotations
@@ -40,14 +61,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    MAX_ITEMS,
     Dataset,
     InternalInvariantError,
     InvalidInputError,
     adjacent_lcp,
     lexicographic_order,
+    memcmp_keys,
     validate_query,
 )
 from .work import WorkReport, work_per_symbol
+
+# Size of one padded-prefix search-key matrix built by a query: prefix ranges
+# are searched in chunks of this many bytes of keys (at least one key), so
+# short sequences search all their depths at once and long ones a few at a
+# time, and no query allocates O(L^2) bytes.
+NEEDLE_CHUNK_BYTES = 1 << 16
 
 MODE_CODES = {"strict": 0, "complete": 1, "tal": 2}
 
@@ -97,13 +126,20 @@ def _smallest(values: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrieNodeView:
-    """Read-only handle on one arena node (mainly for tests and inspection)."""
+    """Read-only handle on one trie node: a depth and a row range."""
 
     index: "TrieIndex"
-    node_id: int
     depth: int
     row_lo: int
     row_hi: int
+
+    @property
+    def node_id(self) -> int:
+        """Breadth-first id (derived on demand; O(n L))."""
+        index = self.index
+        adj = adjacent_lcp(index.rows)
+        first = level_offsets(adj, index.n, index.length)[self.depth]
+        return int(first + np.searchsorted(level_starts(adj, index.n, self.depth), self.row_lo))
 
     @property
     def subtree_size(self) -> int:
@@ -111,9 +147,9 @@ class TrieNodeView:
 
     @property
     def edge_symbol(self) -> int | None:
-        if self.node_id == 0:
+        if self.depth == 0:
             return None
-        return int(self.index.edge_symbol[self.node_id])
+        return int(self.index.rows[self.row_lo, self.depth - 1])
 
     @property
     def posting(self) -> np.ndarray:
@@ -123,134 +159,181 @@ class TrieNodeView:
         return self.index.order[self.row_lo : self.row_hi]
 
     def children(self) -> list["TrieNodeView"]:
-        """Child views in ascending edge-symbol order."""
-        return self.index._children(self)
+        """Child views in ascending edge-symbol order: the runs of column ``depth``."""
+        if self.depth == self.index.length or self.row_lo == self.row_hi:
+            return []
+        col = self.index.rows[self.row_lo : self.row_hi, self.depth]
+        cuts = (self.row_lo + 1 + np.flatnonzero(col[1:] != col[:-1])).tolist()
+        bounds = [self.row_lo, *cuts, self.row_hi]
+        return [
+            TrieNodeView(self.index, self.depth + 1, lo, hi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+
+def level_starts(adj: np.ndarray, n: int, depth: int) -> np.ndarray:
+    """First row of each depth-``depth`` node, in id order.
+
+    ``adj`` is the adjacent-LCP array of the ``n`` sorted rows: a run of rows
+    sharing ``depth`` symbols starts at row 0 and after each LCP below ``depth``.
+    """
+    if n == 0 and depth:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(([0], np.flatnonzero(adj < depth) + 1))
+
+
+def level_offsets(adj: np.ndarray, n: int, length: int) -> np.ndarray:
+    """First node id of each depth ``0..length``, then the node count.
+
+    The same runs as :func:`level_starts`, counted by a histogram of ``adj``.
+    """
+    sizes = np.zeros(length + 1, dtype=np.int64)
+    sizes[0] = 1
+    if n:
+        below = np.cumsum(np.bincount(adj, minlength=length))
+        sizes[1:] = 1 + below[:length]
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def layout_defect(rows: np.ndarray, order: np.ndarray, sigma: int) -> str | None:
+    """Why ``rows`` and ``order`` are not the index of any dataset, or None.
+
+    They are when every symbol is below ``sigma``, ``order`` is a permutation
+    of ``[0, n)``, and the rows ascend in stable lexicographic order: equal
+    rows by ascending item index.
+    """
+    n = rows.shape[0]
+    if n and int(rows.max()) >= sigma:
+        return f"symbol {int(rows.max())} out of range for alphabet of size {sigma}"
+    if order.shape != (n,) or (
+        n
+        and (
+            int(order.min()) < 0
+            or int(order.max()) >= n
+            or int(np.bincount(order, minlength=n).max()) > 1
+        )
+    ):
+        return "item indices are not a permutation of [0, n)"
+    if n > 1:
+        neq = rows[1:] != rows[:-1]
+        col = neq.argmax(axis=1)
+        i = np.arange(n - 1)
+        ascending = np.where(
+            neq.any(axis=1), rows[i + 1, col] > rows[i, col], order[1:] > order[:-1]
+        )
+        if not ascending.all():
+            return "rows are not in stable lexicographic order"
+    return None
 
 
 class TrieIndex:
     """Immutable trie over a dataset; see the module docstring for layout."""
 
-    def __init__(
-        self,
-        *,
-        n: int,
-        length: int,
-        sigma: int,
-        order: np.ndarray,
-        row_lo: np.ndarray,
-        edge_symbol: np.ndarray,
-        level_offset: np.ndarray,
-    ):
-        self.n = n
-        self.length = length
+    def __init__(self, *, sigma: int, rows: np.ndarray, order: np.ndarray):
+        self.n, self.length = (int(x) for x in rows.shape)
         self.sigma = sigma
+        self.rows = rows
         self.order = order
-        self.row_lo = row_lo
-        self.edge_symbol = edge_symbol
-        self.level_offset = level_offset
-        for arr in (order, row_lo, edge_symbol, level_offset):
+        for arr in (rows, order):
             arr.setflags(write=False)
-        self.c_sym = work_per_symbol(length)
+        self._keys = memcmp_keys(rows)
+        self.c_sym = work_per_symbol(self.length)
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def node_count(self) -> int:
-        return int(self.row_lo.shape[0])
+    def nbytes(self) -> int:
+        """Live memory footprint in bytes: the sorted rows and the permutation."""
+        return int(self.rows.nbytes + self.order.nbytes)
 
     @property
-    def nbytes(self) -> int:
-        """Live memory footprint of the arena in bytes."""
-        return int(
-            self.order.nbytes
-            + self.row_lo.nbytes
-            + self.edge_symbol.nbytes
-            + self.level_offset.nbytes
-        )
+    def level_offset(self) -> np.ndarray:
+        """First node id of each depth ``0..L``, then the node count (derived)."""
+        return level_offsets(adjacent_lcp(self.rows), self.n, self.length)
+
+    @property
+    def node_count(self) -> int:
+        return int(self.level_offset[-1])
 
     def new_work_report(self) -> WorkReport:
         return WorkReport(c_sym=self.c_sym)
 
     @property
     def root(self) -> TrieNodeView:
-        return TrieNodeView(self, 0, 0, 0, self.n)
+        return TrieNodeView(self, 0, 0, self.n)
 
     def node(self, node_id: int) -> TrieNodeView:
-        if not (0 <= node_id < self.node_count):
+        adj = adjacent_lcp(self.rows)
+        offsets = level_offsets(adj, self.n, self.length)
+        if not (0 <= node_id < int(offsets[-1])):
             raise InvalidInputError(f"node id {node_id} out of range")
-        depth = int(np.searchsorted(self.level_offset, node_id, side="right")) - 1
-        lo = int(self.row_lo[node_id])
-        hi = self._row_hi(node_id, depth)
-        return TrieNodeView(self, node_id, depth, lo, hi)
+        depth = int(np.searchsorted(offsets, node_id, side="right")) - 1
+        bounds = np.append(level_starts(adj, self.n, depth), self.n)
+        j = node_id - int(offsets[depth])
+        return TrieNodeView(self, depth, int(bounds[j]), int(bounds[j + 1]))
 
-    def _row_hi(self, node_id: int, depth: int) -> int:
-        level_end = int(self.level_offset[depth + 1])
-        if node_id + 1 < level_end:
-            return int(self.row_lo[node_id + 1])
-        return self.n
-
-    def _child_range(self, depth: int, lo: int, hi: int) -> tuple[int, int]:
-        """Arena id range of the children of a node at ``depth`` covering rows [lo, hi)."""
-        if depth >= self.length:
-            return 0, 0
-        base = int(self.level_offset[depth + 1])
-        end = int(self.level_offset[depth + 2])
-        slice_lo = self.row_lo[base:end]
-        # needles must match the array dtype: a python-int needle makes
-        # searchsorted promote (and copy) the whole level slice
-        c0 = base + int(np.searchsorted(slice_lo, np.int32(lo), side="left"))
-        c1 = base + int(np.searchsorted(slice_lo, np.int32(hi), side="left"))
-        return c0, c1
-
-    def _children(self, view: TrieNodeView) -> list[TrieNodeView]:
-        c0, c1 = self._child_range(view.depth, view.row_lo, view.row_hi)
-        out = []
-        for cid in range(c0, c1):
-            lo = int(self.row_lo[cid])
-            hi = self._row_hi(cid, view.depth + 1)
-            out.append(TrieNodeView(self, cid, view.depth + 1, lo, hi))
-        return out
-
-    # -- queries -----------------------------------------------------------
+    # -- prefix tiers --------------------------------------------------------
 
     def _validate_query(self, q) -> np.ndarray:
         return validate_query(q, self.length, self.sigma)
 
-    def _descend(self, q: np.ndarray) -> tuple[list[tuple[int, int, int, int]], int]:
-        """Walk the query path; returns ((id, depth, lo, hi) per node, comparisons)."""
-        path = [(0, 0, 0, self.n)]
-        comparisons = 0
-        if self.n == 0:
-            return path, comparisons
-        node, lo, hi = 0, 0, self.n
-        row_lo = self.row_lo
-        edge = self.edge_symbol
-        offs = self.level_offset
-        for d in range(self.length):
-            base = int(offs[d + 1])
-            end = int(offs[d + 2])
-            lvl = row_lo[base:end]
-            c0 = base + int(np.searchsorted(lvl, np.int32(lo), side="left"))
-            c1 = base + int(np.searchsorted(lvl, np.int32(hi), side="left"))
-            comparisons += 1
-            syms = edge[c0:c1]
-            j = int(np.searchsorted(syms, q[d]))
-            if j == c1 - c0 or int(syms[j]) != int(q[d]):
-                break
-            node = c0 + j
-            lo = int(row_lo[node])
-            hi = int(row_lo[node + 1]) if node + 1 < end else self.n
-            path.append((node, d + 1, lo, hi))
-        if comparisons > self.length:
-            raise InternalInvariantError("descent exceeded L symbol comparisons")
-        return path, comparisons
+    def _insertion_point(self, key: np.ndarray, lo: int, hi: int) -> int:
+        """First row in ``[lo, hi)`` not below the big-endian query ``key``."""
+        return lo + int(np.searchsorted(self._keys[lo:hi], memcmp_keys(key[None, :]))[0])
+
+    def _prefix_ranges(
+        self, key: np.ndarray, depths: np.ndarray, lo: int, mid: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row range of the rows starting with ``key[:t]``, for each t in ``depths``.
+
+        ``key[:t]`` padded with 0x0000 is the smallest row with that prefix
+        and padded with 0xFFFF the largest, so one ``searchsorted`` per side
+        finds every range.  Each range must lie in ``[lo, hi)`` and contain
+        the query's insertion point ``mid``.
+        """
+        keep = np.arange(self.length) < depths[:, None]
+        first = memcmp_keys(np.where(keep, key, 0).astype(">u2"))
+        last = memcmp_keys(np.where(keep, key, 0xFFFF).astype(">u2"))
+        starts = lo + np.searchsorted(self._keys[lo:mid], first, side="left")
+        ends = mid + np.searchsorted(self._keys[mid:hi], last, side="right")
+        return starts, ends
+
+    def _tiers(self, key: np.ndarray, lo: int, mid: int, hi: int, d0: int):
+        """Equal-LCP tiers of rows ``[lo, hi)``, deepest first, as a generator.
+
+        All rows in ``[lo, hi)`` must share the query's first ``d0`` symbols.
+        Each tier is ``(depth, start, end)``: rows ``[start, end)`` share at
+        least ``depth`` symbols with the query, and the rows a tier adds to
+        the one before it share exactly ``depth``.  The next tier's depth is
+        the LCP of the rows just outside the current range; from there the
+        ranges of up to ``NEEDLE_CHUNK_BYTES / 2L`` shallower depths are
+        searched at once, so short sequences take one batch and long ones
+        skip the depths no row stops at.
+        """
+        length = self.length
+        step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
+        a = b = mid
+        while (a, b) != (lo, hi):
+            outside = [i for i in (a - 1, b) if lo <= i < hi]
+            neq = self.rows[outside] != key
+            depth = int(np.where(neq.any(axis=1), neq.argmax(axis=1), length).max())
+            depths = np.arange(depth, max(d0 - 1, depth - step), -1)
+            starts, ends = self._prefix_ranges(key, depths, lo, mid, hi)
+            if (starts[0], ends[0]) == (a, b):
+                raise InternalInvariantError(f"no row found sharing {depth} symbols")
+            for t, s, e in zip(depths.tolist(), starts.tolist(), ends.tolist()):
+                if (s, e) != (a, b):
+                    yield t, s, e
+                    a, b = s, e
+
+    # -- queries -----------------------------------------------------------
 
     def descend(self, q) -> tuple[TrieNodeView, int]:
         """Deepest node whose path matches a prefix of ``q``, and its depth."""
-        query = self._validate_query(q)
-        path, _ = self._descend(query)
-        node_id, depth, lo, hi = path[-1]
-        return TrieNodeView(self, node_id, depth, lo, hi), depth
+        key = self._validate_query(q).astype(">u2")
+        mid = self._insertion_point(key, 0, self.n)
+        depth, lo, hi = next(self._tiers(key, 0, mid, self.n, 0), (0, 0, self.n))
+        return TrieNodeView(self, depth, lo, hi), depth
 
     def collect_top_k(self, node: TrieNodeView, k: int) -> np.ndarray:
         """Up to ``k`` item indices from the node's subtree, ascending by index.
@@ -288,40 +371,31 @@ class TrieIndex:
             raise InvalidInputError(f"mode must be 'strict' or 'complete', got {mode!r}")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        query = self._validate_query(q)
-        path, comparisons = self._descend(query)
-        node_id, depth, lo, hi = path[-1]
+        key = self._validate_query(q).astype(">u2")
+        mid = self._insertion_point(key, 0, self.n)
+        need = min(k, self.n) if mode == "complete" else k
+        out_idx, out_lcp = [], []
+        got = depth = last = 0
+        prev_lo = prev_hi = mid
+        for t, a, b in self._tiers(key, 0, mid, self.n, 0):
+            if not out_idx:
+                depth = t
+            take = min(need - got, (prev_lo - a) + (b - prev_hi))
+            cand = np.concatenate((self.order[a:prev_lo], self.order[prev_hi:b]))
+            out_idx.append(_smallest(cand, take))
+            out_lcp.append(np.full(take, t, dtype=np.int64))
+            got += take
+            last = t
+            if mode == "strict" or got >= need:
+                break
+            prev_lo, prev_hi = a, b
         if work is not None:
-            work.symbols_compared += comparisons
-            work.nodes_visited += len(path)
+            # counted as a node-by-node descent: one symbol per level entered,
+            # then one node per ancestor down to the last tier taken from
+            work.symbols_compared += min(depth + 1, self.length) if self.n else 0
+            work.nodes_visited += depth + 1 + (depth - last)
             work.queries += 1
 
-        need = min(k, self.n) if mode == "complete" else k
-        tier_rows = self.order[lo:hi]
-        take = min(need, tier_rows.size)
-        out_idx = [_smallest(tier_rows, take)] if take else []
-        out_lcp = [np.full(take, depth, dtype=np.int64)] if take else []
-        got = take
-
-        if mode == "complete" and got < need:
-            prev_lo, prev_hi = lo, hi
-            for anc_id, anc_depth, alo, ahi in reversed(path[:-1]):
-                if got >= need:
-                    break
-                cand = np.concatenate(
-                    (self.order[alo:prev_lo], self.order[prev_hi:ahi])
-                )
-                if work is not None:
-                    work.nodes_visited += 1
-                if cand.size:
-                    take = min(need - got, cand.size)
-                    out_idx.append(_smallest(cand, take))
-                    out_lcp.append(np.full(take, anc_depth, dtype=np.int64))
-                    got += take
-                prev_lo, prev_hi = alo, ahi
-
-        if got > k:
-            raise InternalInvariantError("query emitted more than k items")
         if not out_idx:
             return _empty_result(mode, depth)
         return QueryResult(
@@ -334,91 +408,31 @@ class TrieIndex:
     # -- integrity ---------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify the structural contract; raises InternalInvariantError on failure.
+        """Verify the layout contract; raises InternalInvariantError on failure.
 
-        Checks: node count bound, root coverage, every level partitions
-        [0, n), subtree sizes obey the posting + children recurrence, and
-        child symbols are strictly ascending under each parent.
+        Checks: every symbol is in the alphabet, ``order`` is a permutation
+        of ``[0, n)``, and the rows are in stable lexicographic order.
         """
-        n, length = self.n, self.length
-        if self.node_count > n * length + 1:
-            raise InternalInvariantError("node count exceeds n*L + 1")
-        if int(self.level_offset[0]) != 0 or int(self.level_offset[-1]) != self.node_count:
-            raise InternalInvariantError("level offsets do not cover the arena")
-        if self.root.subtree_size != n:
-            raise InternalInvariantError("root subtree size != n")
-        if n == 0:
-            if self.node_count != 1:
-                raise InternalInvariantError("empty dataset must index to a bare root")
-            return
-        for d in range(length + 1):
-            base, end = int(self.level_offset[d]), int(self.level_offset[d + 1])
-            if base == end:
-                if n > 0 and d <= length:
-                    raise InternalInvariantError(f"level {d} is empty")
-                continue
-            lvl_lo = self.row_lo[base:end].astype(np.int64)
-            lvl_hi = np.append(lvl_lo[1:], n)
-            sizes = lvl_hi - lvl_lo
-            if int(lvl_lo[0]) != 0 or (sizes <= 0).any():
-                raise InternalInvariantError(f"level {d} does not partition [0, n)")
-            if d < length:
-                nb, ne = int(self.level_offset[d + 1]), int(self.level_offset[d + 2])
-                child_lo = self.row_lo[nb:ne].astype(np.int64)
-                # children of each node are a contiguous run in the next level
-                starts = np.searchsorted(child_lo, lvl_lo, side="left")
-                ends = np.append(starts[1:], ne - nb)
-                child_hi = np.append(child_lo[1:], n)
-                child_sizes = child_hi - child_lo
-                sums = np.add.reduceat(child_sizes, starts)
-                if not np.array_equal(sums, sizes):
-                    raise InternalInvariantError(f"subtree size recurrence fails at depth {d}")
-                syms = self.edge_symbol[nb:ne].astype(np.int64)
-                run = np.arange(ne - nb)
-                parent_of = np.searchsorted(starts, run, side="right") - 1
-                inc = np.diff(syms) > 0
-                same_parent = np.diff(parent_of) == 0
-                if np.any(same_parent & ~inc):
-                    raise InternalInvariantError(f"children not symbol-sorted at depth {d}")
-        if n and int(self.level_offset[length + 1]) - int(self.level_offset[length]) > n:
-            raise InternalInvariantError("more leaves than items")
+        defect = layout_defect(self.rows, self.order, self.sigma)
+        if defect is not None:
+            raise InternalInvariantError(defect)
 
 
 def build(dataset: Dataset) -> TrieIndex:
-    """Construct the index: one root-to-depth-L path per distinct sequence.
+    """Construct the index: sort the rows once and keep them with the permutation.
 
     An empty dataset yields a valid index containing only the root.
     """
     items = dataset.items
-    n, length = items.shape
+    if items.shape[0] >= MAX_ITEMS:
+        raise InvalidInputError(f"{items.shape[0]} items exceed the limit of {MAX_ITEMS - 1}")
     order = lexicographic_order(items)
-    row_parts: list[np.ndarray] = [np.zeros(1, dtype=np.int32)]
-    sym_parts: list[np.ndarray] = [np.zeros(1, dtype=np.uint16)]
-    level_offset = np.zeros(length + 2, dtype=np.int64)
-    level_offset[1] = 1
-    if n > 0:
-        rows = items[order]
-        adj = adjacent_lcp(rows)
-        total = 1
-        for d in range(1, length + 1):
-            starts = np.flatnonzero(adj < d).astype(np.int64) + 1
-            starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
-            row_parts.append(starts.astype(np.int32))
-            sym_parts.append(np.ascontiguousarray(rows[starts, d - 1]))
-            total += starts.size
-            level_offset[d + 1] = total
-    else:
-        level_offset[1:] = 1
-
-    return TrieIndex(
-        n=int(n),
-        length=int(length),
-        sigma=dataset.alphabet.size,
-        order=order.astype(np.int32),
-        row_lo=np.concatenate(row_parts),
-        edge_symbol=np.concatenate(sym_parts),
-        level_offset=level_offset,
-    )
+    # Big-endian rows are their own memcmp keys; swap in place so the build
+    # never holds two copies of the rows.
+    rows = items[order]
+    if rows.dtype != np.dtype(">u2"):
+        rows = rows.byteswap(inplace=True).view(">u2")
+    return TrieIndex(sigma=dataset.alphabet.size, rows=rows, order=order.astype(np.int32))
 
 
 class QueryCache:

@@ -1,5 +1,8 @@
 """File formats: dataset round-trips, text ingestion, snapshot identity."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,17 @@ def test_dataset_reader_rejects_size_mismatch(tmp_path):
     with pytest.raises(InvalidInputError) as err:
         read_dataset(str(path))
     assert "size mismatch" in str(err.value)
+
+
+def test_dataset_reader_rejects_symbol_beyond_alphabet(tmp_path):
+    ds = generate_dataset(10, 4, 4, seed=2)
+    path = tmp_path / "data.lcpd"
+    write_dataset(str(path), ds)
+    raw = bytearray(path.read_bytes())
+    raw[-2:] = (4).to_bytes(2, "little")  # the last symbol, one past sigma
+    path.write_bytes(bytes(raw))
+    with pytest.raises(InvalidInputError, match="out of range"):
+        read_dataset(str(path))
 
 
 def test_text_ingestion_first_occurrence_vocab(tmp_path):
@@ -138,3 +152,56 @@ def test_snapshot_reader_rejects_corruption():
     bad[0:4] = b"XXXX"
     with pytest.raises(InvalidInputError):
         index_from_snapshot_bytes(bytes(bad))
+
+
+PINNED_SNAPSHOTS = {
+    "uniform": (
+        lambda: generate_dataset(300, 9, 4, seed=101),
+        "dfe2dcd1829755c270535c9d920a98bcd725e531487e20536b8f65d0f8c9d311",
+    ),
+    "duplicates": (
+        lambda: Dataset.from_rows(
+            np.repeat(generate_dataset(60, 6, 3, seed=102).items, 3, axis=0), 3
+        ),
+        "73ba2f463569237f5ef5d09feffa6c3c12c673da217da0fd58cddbb0a5b0e51d",
+    ),
+    "empty": (
+        lambda: Dataset.from_rows(np.zeros((0, 5), dtype=np.uint16), 4),
+        "08348268d0d15406c37e8b60b99cb2f4303bb6716f0fa38474d22761288041a0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SNAPSHOTS))
+def test_snapshot_bytes_are_pinned(case):
+    # LCPI v1 is a published format: these digests must never change
+    make, digest = PINNED_SNAPSHOTS[case]
+    snap = index_snapshot_bytes(build(make()))
+    assert hashlib.sha256(snap).hexdigest() == digest
+    assert index_snapshot_bytes(index_from_snapshot_bytes(snap)) == snap
+
+
+def test_snapshot_mutations_are_rejected_or_canonical():
+    # every corrupted snapshot is a data error, or loads as a valid index
+    # that encodes back to exactly the bytes it was read from
+    ds = Dataset.from_rows(np.repeat(generate_dataset(32, 5, 3, seed=41).items, 2, axis=0), 3)
+    snap = index_snapshot_bytes(build(ds))
+    rng = np.random.default_rng(42)
+    mutants = [snap[:cut] for cut in range(len(snap))]
+    for bit in rng.integers(0, 8 * len(snap), size=2000).tolist():
+        bad = bytearray(snap)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        mutants.append(bytes(bad))
+    for raw in mutants:
+        try:
+            loaded = index_from_snapshot_bytes(raw)
+        except InvalidInputError:
+            continue
+        assert np.array_equal(np.sort(loaded.order), np.arange(loaded.n))
+        assert index_snapshot_bytes(loaded) == raw
+
+
+def test_snapshot_reader_rejects_two_to_the_31_items():
+    header = struct.pack("<4sH6BQIIQ", b"LCPI", 1, 2, 4, 4, 2, 4, 2, 1 << 31, 4, 2, 1)
+    with pytest.raises(InvalidInputError, match="limit"):
+        index_from_snapshot_bytes(header + bytes(8))

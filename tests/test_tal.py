@@ -20,7 +20,7 @@ from lcpsearch import (
     tal_query,
     work_reduction,
 )
-from lcpsearch import tal
+from lcpsearch import tal, trie
 
 
 def test_bucket_depth_for_256_buckets_binary_alphabet():
@@ -226,10 +226,47 @@ def _grid_rows(rng, n, length, sigma):
     return np.where(redraw, rng.integers(0, sigma, size=(n, length)), rows)
 
 
-@pytest.mark.parametrize("needle_bytes", [tal.NEEDLE_CHUNK_BYTES, 2])
+def _check_trie_grid():
+    """Strict and complete trie queries against the oracle and the descent counters.
+
+    With D the deepest LCP of the query with any row, a node-by-node
+    descent compares min(D + 1, L) symbols and visits D + 1 nodes, plus in
+    complete mode one ancestor per depth down to the LCP of the last hit.
+    """
+    rng = np.random.default_rng(2025)
+    for sigma in (2, 3, 4, 16, 300):
+        for length in range(1, 20):
+            n = 0 if length == 3 else int(rng.integers(1, 100))
+            ds = Dataset.from_rows(_grid_rows(rng, n, length, sigma), sigma)
+            index = build(ds)
+            for _ in range(4):
+                if n and rng.random() < 0.6:
+                    q = ds.items[rng.integers(0, n)].copy()
+                    c = int(rng.integers(0, length + 1))
+                    q[c:] = rng.integers(0, sigma, size=length - c)
+                else:
+                    q = rng.integers(0, sigma, size=length)
+                k = int(rng.choice([1, 4, n + 5]))
+                lcps = _profile(ds, q)
+                top = int(lcps.max()) if n else 0
+                want = oracle_top_k(ds, q, k).pairs()
+                for mode, hits in (
+                    ("strict", want[: min(k, int((lcps == top).sum()))]),
+                    ("complete", want),
+                ):
+                    work = index.new_work_report()
+                    res = index.query(q, k, mode, work=work)
+                    assert res.pairs() == hits, (sigma, length, mode, q.tolist(), k)
+                    assert res.matched_depth == top
+                    assert work.symbols_compared == (min(top + 1, length) if n else 0)
+                    last = hits[-1][1] if hits else top
+                    assert work.nodes_visited == top + 1 + (top - last)
+
+
+@pytest.mark.parametrize("needle_bytes", [trie.NEEDLE_CHUNK_BYTES, 2])
 def test_randomized_grid_matches_oracle_and_work_model(monkeypatch, needle_bytes):
     # 2 bytes searches one depth at a time, as the longest sequences do
-    monkeypatch.setattr(tal, "NEEDLE_CHUNK_BYTES", needle_bytes)
+    monkeypatch.setattr(trie, "NEEDLE_CHUNK_BYTES", needle_bytes)
     rng = np.random.default_rng(2024)
     seen = {"empty": 0, "k_beyond_bucket": 0, "duplicate_hits": 0}
     for sigma in (2, 3, 4, 16, 300):
@@ -257,6 +294,7 @@ def test_randomized_grid_matches_oracle_and_work_model(monkeypatch, needle_bytes
                     seen["k_beyond_bucket"] += 0 < bucket.size < k
                     seen["duplicate_hits"] += int((lcps == length).sum()) > 1
     assert all(count > 0 for count in seen.values()), seen
+    _check_trie_grid()
 
 
 def test_prefix_ranges_at_the_top_of_the_alphabet():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcpsearch import (
+    Alphabet,
     Dataset,
     InvalidInputError,
     QueryCache,
@@ -57,6 +58,14 @@ def test_empty_dataset_builds_bare_root():
     assert index.root.subtree_size == 0
     index.check_invariants()
     assert index.query([0, 1, 2, 3, 0], 3, "complete").pairs() == []
+
+
+def test_build_rejects_two_to_the_31_items():
+    # a broadcast view: the dataset claims 2^31 rows but allocates one
+    items = np.broadcast_to(np.zeros((1, 4), dtype=np.uint16), (1 << 31, 4))
+    ds = Dataset(alphabet=Alphabet(2), length=4, items=items)
+    with pytest.raises(InvalidInputError, match="limit"):
+        build(ds)
 
 
 def test_posting_lists_cover_every_item_once():
