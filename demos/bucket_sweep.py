@@ -1,19 +1,21 @@
 """Measure how bucketed range scans cut per-query work.
 
-The engine sorts the dataset once and partitions it by d-symbol prefix into
-sigma**d buckets; a query scans only its own bucket.  Work is counted in
-deterministic units (items scanned + fractional symbol comparisons), so the
-reduction ladder below reproduces exactly on every run.
+The index sorts the dataset once; each engine over it partitions the sorted
+rows by d-symbol prefix into sigma**d buckets, and a query scans only its
+own bucket.  Work is counted in deterministic units (items scanned +
+fractional symbol comparisons), so the reduction ladder below reproduces
+exactly on every run.
 """
 
-from lcpsearch import build_tal, generate_dataset, generate_queries, work_reduction
+from lcpsearch import TalEngine, build, generate_dataset, generate_queries, work_reduction
 
 N = 1 << 18
 dataset = generate_dataset(N, 32, 2, seed=1)
 queries = generate_queries(dataset, 200, seed=2)
+index = build(dataset)  # one sort serves every bucket count below
 
 # Baseline: a single bucket spanning the whole array, i.e. a full scan.
-full = build_tal(dataset, 1)
+full = TalEngine(index, 1)
 full_work = full.new_work_report()
 for q in queries:
     full.query(q, 10, work=full_work)
@@ -22,7 +24,7 @@ print(f"full scan: {full_work.items_scanned} items over {len(queries)} queries "
 
 print(f"\n{'buckets':>8} {'depth':>6} {'items/query':>12} {'reduction':>10}")
 for buckets in (4, 16, 64, 256):
-    engine = build_tal(dataset, buckets)
+    engine = TalEngine(index, buckets)
     work = engine.new_work_report()
     for q in queries:
         engine.query(q, 10, work=work)

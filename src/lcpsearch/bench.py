@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .core import ConfigError, Dataset, InvalidStateError
 from .datagen import generate_dataset, generate_queries
 from .tal import TalEngine
 from .trie import QueryCache, TrieIndex, build, memoized_query
-from .work import WorkReport, work_reduction
+from .work import work_reduction
 
 GIB = 1 << 30
 MATERIALIZATION_ENTRY_BYTES = 2  # half-precision similarity entries
@@ -150,7 +149,6 @@ class ScenarioConfig:
     bucket_counts: tuple[int, ...] = (1, 4, 16, 64, 256)
     prefix_len: int | None = None
     distribution: str = "uniform"
-    workers: int = 1
     index_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -165,7 +163,6 @@ class ScenarioConfig:
             "k": self.k,
             "query_count": self.query_count,
             "steps": self.steps,
-            "workers": self.workers,
         }
         for name, value in positives.items():
             if int(value) < 1:
@@ -242,32 +239,16 @@ def _render_kv(data: dict, prefix: str = "") -> list[str]:
 # Scenario execution
 # ---------------------------------------------------------------------------
 
-def _query_stream(index: TrieIndex, queries: np.ndarray, k: int, mode: str, workers: int):
-    """Run every query once, fanned across workers; merge in worker-id order."""
-
-    def run_worker(wid: int) -> tuple[WorkReport, list[float]]:
-        report = index.new_work_report()
-        latencies: list[float] = []
-        for q in queries[wid::workers]:
-            t0 = time.perf_counter()
-            index.query(q, k, mode, work=report)
-            latencies.append(time.perf_counter() - t0)
-        return report, latencies
-
+def _query_stream(index: TrieIndex, queries: np.ndarray, k: int, mode: str):
+    """Run every query once; returns the work, the latencies and the elapsed time."""
+    report = index.new_work_report()
+    latencies: list[float] = []
     t_start = time.perf_counter()
-    if workers == 1:
-        outputs = [run_worker(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(run_worker, range(workers)))
-    elapsed = time.perf_counter() - t_start
-
-    total = outputs[0][0]
-    latencies = list(outputs[0][1])
-    for report, lats in outputs[1:]:
-        total = total.combine(report)
-        latencies.extend(lats)
-    return total, latencies, elapsed
+    for q in queries:
+        t0 = time.perf_counter()
+        index.query(q, k, mode, work=report)
+        latencies.append(time.perf_counter() - t0)
+    return report, latencies, time.perf_counter() - t_start
 
 
 def _determinism_check(run_bytes, count: int) -> dict:
@@ -306,7 +287,7 @@ def _scenario_sustained(config: ScenarioConfig) -> ScenarioReport:
         )
 
     if config.duration_s is None:
-        work, lats, elapsed = _query_stream(index, queries, config.k, config.mode, config.workers)
+        work, lats, elapsed = _query_stream(index, queries, config.k, config.mode)
         volatile_counts = False
     else:
         # Duration-bound mode: cycle the query batch until the deadline.

@@ -181,7 +181,6 @@ _CONFIG_ALIASES = {
     "k": "k",
     "seed": "seed",
     "mode": "mode",
-    "workers": "workers",
     "distribution": "distribution",
     "scenario": "scenario",
     "index_path": "index_path",
@@ -189,8 +188,11 @@ _CONFIG_ALIASES = {
 }
 
 # Keys that appear in upstream-style configs but describe hardware measurement
-# we do not model; accepted and ignored so configs paste in unchanged.
-_CONFIG_IGNORED = {"warmup_s", "range_fraction", "sensors", "update_rate", "device"}
+# we do not model, or the removed ``workers`` thread count (one thread served
+# faster than two); accepted and ignored so configs paste in unchanged.
+_CONFIG_IGNORED = {
+    "warmup_s", "range_fraction", "sensors", "update_rate", "device", "workers",
+}
 
 
 def _parse_config_value(key: str, raw: str):
@@ -249,8 +251,6 @@ def cmd_bench(args) -> int:
     config = parse_scenario_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
     config.__post_init__()
     report = run_scenario(config)
 
@@ -334,9 +334,8 @@ def _verify_dataset(dataset, k_values, query_count, seed) -> list[tuple[str, boo
     checks.append(("bucketed scan is an exhaustive-scan prefix", ok_bucket))
     checks.append(("per-query work bounds", ok_work))
 
-    if engine.directory is not None:
-        sizes = engine.bucket_sizes()
-        checks.append(("bucket ranges partition the dataset", int(sizes.sum()) == dataset.n))
+    sizes = engine.bucket_sizes()
+    checks.append(("bucket ranges partition the dataset", int(sizes.sum()) == dataset.n))
     return checks
 
 
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("config")
     p_bench.add_argument("--out", help="report path prefix (default: next to the config)")
     p_bench.add_argument("--seed", type=int, help="override the config seed")
-    p_bench.add_argument("--workers", type=int, help="override the worker count")
     p_bench.add_argument("--format", choices=("text", "machine"), default="text")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -300,9 +300,10 @@ def index_from_snapshot_bytes(raw: bytes, name: str = "<bytes>") -> TrieIndex:
 
     # Postings (leaf level) concatenated in id order form the sort permutation;
     # each row column repeats its level's edge symbols by the subtree sizes.
+    # The rows are allocated only once the postings account for all n items.
     buf = np.frombuffer(raw, dtype=np.uint8)
     order = np.zeros(0, dtype=np.int64)
-    rows = np.zeros((n, length), dtype=">u2")
+    rows = np.zeros((0, length), dtype=">u2")
     if n:
         if len(levels) != length + 1:
             raise InvalidInputError(f"{name}: leaves at depth {len(levels) - 1}, expected {length}")
@@ -311,6 +312,7 @@ def index_from_snapshot_bytes(raw: bytes, name: str = "<bytes>") -> TrieIndex:
             raise InvalidInputError(
                 f"{name}: posting lists hold {int(sizes.sum())} items, header claims {n}"
             )
+        rows = np.zeros((n, length), dtype=">u2")
         order = _gather(buf, _entry_positions(starts + 6, sizes, 4), 4)
         for d in range(length, 0, -1):
             starts, plens, ccs = levels[d - 1]

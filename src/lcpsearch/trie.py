@@ -30,11 +30,14 @@ the rows on either side of it give the matched depth ``D``.  The rows sharing
 the query's first ``t`` symbols form one contiguous range containing that
 point, found by binary search with the query prefix padded by 0x0000 (left
 end) and 0xFFFF (right end), the classic suffix-array technique.  The ranges
-for ``t = D, D-1, ...`` are nested tiers of equal LCP, walked deepest first.
-A query costs ``O(L log n)`` per binary search, one for the insertion point
-and one per side per depth searched, plus the rows it selects; its scratch
-memory stays within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  The
-TAL engine (:mod:`lcpsearch.tal`) walks the same tiers inside one bucket.
+for ``t = D, D-1, ...`` are nested tiers of equal LCP, walked deepest first
+and taken from by one selection loop.  A query costs ``O(L log n)`` per
+binary search, one for the insertion point and one per side per depth
+searched, plus the rows it selects; its scratch memory stays within a few
+times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  The walk can stop at a depth
+``d0``: its last tier is then the range of rows sharing the query's first
+``d0`` symbols.  The TAL engine (:mod:`lcpsearch.tal`) is that walk stopped
+at its bucket depth.
 
 Query semantics
 ---------------
@@ -55,7 +58,9 @@ one per ancestor walked.
 
 from __future__ import annotations
 
+import itertools
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +70,7 @@ from .core import (
     Dataset,
     InternalInvariantError,
     InvalidInputError,
+    InvalidStateError,
     adjacent_lcp,
     lexicographic_order,
     memcmp_keys,
@@ -106,15 +112,6 @@ class QueryResult:
             + np.ascontiguousarray(self.indices, dtype="<u4").tobytes()
             + np.ascontiguousarray(self.lcps, dtype="<u2").tobytes()
         )
-
-
-def _empty_result(mode: str, matched_depth: int = 0) -> QueryResult:
-    return QueryResult(
-        indices=np.zeros(0, dtype=np.int64),
-        lcps=np.zeros(0, dtype=np.int64),
-        matched_depth=matched_depth,
-        mode=mode,
-    )
 
 
 def _smallest(values: np.ndarray, k: int) -> np.ndarray:
@@ -277,62 +274,91 @@ class TrieIndex:
     def _validate_query(self, q) -> np.ndarray:
         return validate_query(q, self.length, self.sigma)
 
-    def _insertion_point(self, key: np.ndarray, lo: int, hi: int) -> int:
-        """First row in ``[lo, hi)`` not below the big-endian query ``key``."""
-        return lo + int(np.searchsorted(self._keys[lo:hi], memcmp_keys(key[None, :]))[0])
+    def _insertion_point(self, key: np.ndarray) -> int:
+        """First row not below the big-endian query ``key``."""
+        return int(np.searchsorted(self._keys, memcmp_keys(key[None, :]))[0])
 
     def _prefix_ranges(
-        self, key: np.ndarray, depths: np.ndarray, lo: int, mid: int, hi: int
+        self, key: np.ndarray, depths: np.ndarray, mid: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Row range of the rows starting with ``key[:t]``, for each t in ``depths``.
 
         ``key[:t]`` padded with 0x0000 is the smallest row with that prefix
         and padded with 0xFFFF the largest, so one ``searchsorted`` per side
-        finds every range.  Each range must lie in ``[lo, hi)`` and contain
-        the query's insertion point ``mid``.
+        finds every range.  Each range contains the query's insertion point
+        ``mid``.
         """
         keep = np.arange(self.length) < depths[:, None]
         first = memcmp_keys(np.where(keep, key, 0).astype(">u2"))
         last = memcmp_keys(np.where(keep, key, 0xFFFF).astype(">u2"))
-        starts = lo + np.searchsorted(self._keys[lo:mid], first, side="left")
-        ends = mid + np.searchsorted(self._keys[mid:hi], last, side="right")
+        starts = np.searchsorted(self._keys[:mid], first, side="left")
+        ends = mid + np.searchsorted(self._keys[mid:], last, side="right")
         return starts, ends
 
-    def _tiers(self, key: np.ndarray, lo: int, mid: int, hi: int, d0: int):
-        """Equal-LCP tiers of rows ``[lo, hi)``, deepest first, as a generator.
+    def _tiers(self, key: np.ndarray, mid: int, d0: int):
+        """Equal-LCP tiers of the rows sharing ``d0`` symbols with the query.
 
-        All rows in ``[lo, hi)`` must share the query's first ``d0`` symbols.
-        Each tier is ``(depth, start, end)``: rows ``[start, end)`` share at
-        least ``depth`` symbols with the query, and the rows a tier adds to
-        the one before it share exactly ``depth``.  The next tier's depth is
-        the LCP of the rows just outside the current range; from there the
-        ranges of up to ``NEEDLE_CHUNK_BYTES / 2L`` shallower depths are
-        searched at once, so short sequences take one batch and long ones
-        skip the depths no row stops at.
+        A generator, deepest tier first.  Each tier is ``(depth, start, end)``:
+        rows ``[start, end)`` share at least ``depth`` symbols with the query,
+        and the rows a tier adds to the one before it share exactly ``depth``.
+        The next tier's depth is the LCP of the rows just outside the current
+        range; from there the ranges of up to ``NEEDLE_CHUNK_BYTES / 2L``
+        shallower depths are searched at once, so short sequences take one
+        batch and long ones skip the depths no row stops at.  The walk yields
+        nothing when no row shares ``d0`` symbols, and stops after the batch
+        that reaches depth ``d0``, so the last tier is the range of rows
+        sharing ``d0`` symbols and no row outside it is compared.
         """
         length = self.length
         step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
         a = b = mid
-        while (a, b) != (lo, hi):
-            outside = [i for i in (a - 1, b) if lo <= i < hi]
+        while (a, b) != (0, self.n):
+            outside = [i for i in (a - 1, b) if 0 <= i < self.n]
             neq = self.rows[outside] != key
             depth = int(np.where(neq.any(axis=1), neq.argmax(axis=1), length).max())
+            if depth < d0:
+                return
             depths = np.arange(depth, max(d0 - 1, depth - step), -1)
-            starts, ends = self._prefix_ranges(key, depths, lo, mid, hi)
+            starts, ends = self._prefix_ranges(key, depths, mid)
             if (starts[0], ends[0]) == (a, b):
                 raise InternalInvariantError(f"no row found sharing {depth} symbols")
             for t, s, e in zip(depths.tolist(), starts.tolist(), ends.tolist()):
                 if (s, e) != (a, b):
                     yield t, s, e
                     a, b = s, e
+            if depths[-1] == d0:
+                return
+
+    def _select(self, tiers, mid: int, need: int) -> tuple[np.ndarray, np.ndarray]:
+        """Up to ``need`` hits taken tier by tier from ``tiers``: (indices, lcps).
+
+        Each tier contributes its new rows, those outside the tier before it
+        (the first tier's "before" is the empty range at ``mid``), selected
+        by ascending item index.  Tiers are consumed only until ``need`` hits
+        are taken.
+        """
+        out_idx, out_lcp = [], []
+        got = 0
+        a = b = mid
+        for t, s, e in tiers:
+            take = min(need - got, (a - s) + (e - b))
+            out_idx.append(_smallest(np.concatenate((self.order[s:a], self.order[b:e])), take))
+            out_lcp.append(np.full(take, t, dtype=np.int64))
+            got += take
+            a, b = s, e
+            if got >= need:
+                break
+        if not out_idx:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.concatenate(out_idx), np.concatenate(out_lcp)
 
     # -- queries -----------------------------------------------------------
 
     def descend(self, q) -> tuple[TrieNodeView, int]:
         """Deepest node whose path matches a prefix of ``q``, and its depth."""
         key = self._validate_query(q).astype(">u2")
-        mid = self._insertion_point(key, 0, self.n)
-        depth, lo, hi = next(self._tiers(key, 0, mid, self.n, 0), (0, 0, self.n))
+        mid = self._insertion_point(key)
+        depth, lo, hi = next(self._tiers(key, mid, 0), (0, 0, self.n))
         return TrieNodeView(self, depth, lo, hi), depth
 
     def collect_top_k(self, node: TrieNodeView, k: int) -> np.ndarray:
@@ -372,38 +398,20 @@ class TrieIndex:
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
         key = self._validate_query(q).astype(">u2")
-        mid = self._insertion_point(key, 0, self.n)
-        need = min(k, self.n) if mode == "complete" else k
-        out_idx, out_lcp = [], []
-        got = depth = last = 0
-        prev_lo = prev_hi = mid
-        for t, a, b in self._tiers(key, 0, mid, self.n, 0):
-            if not out_idx:
-                depth = t
-            take = min(need - got, (prev_lo - a) + (b - prev_hi))
-            cand = np.concatenate((self.order[a:prev_lo], self.order[prev_hi:b]))
-            out_idx.append(_smallest(cand, take))
-            out_lcp.append(np.full(take, t, dtype=np.int64))
-            got += take
-            last = t
-            if mode == "strict" or got >= need:
-                break
-            prev_lo, prev_hi = a, b
+        mid = self._insertion_point(key)
+        tiers = self._tiers(key, mid, 0)
+        if mode == "strict":
+            tiers = itertools.islice(tiers, 1)
+        indices, lcps = self._select(tiers, mid, min(k, self.n))
+        depth = int(lcps[0]) if lcps.size else 0
         if work is not None:
             # counted as a node-by-node descent: one symbol per level entered,
             # then one node per ancestor down to the last tier taken from
+            last = int(lcps[-1]) if lcps.size else 0
             work.symbols_compared += min(depth + 1, self.length) if self.n else 0
             work.nodes_visited += depth + 1 + (depth - last)
             work.queries += 1
-
-        if not out_idx:
-            return _empty_result(mode, depth)
-        return QueryResult(
-            indices=np.concatenate(out_idx),
-            lcps=np.concatenate(out_lcp),
-            matched_depth=depth,
-            mode=mode,
-        )
+        return QueryResult(indices=indices, lcps=lcps, matched_depth=depth, mode=mode)
 
     # -- integrity ---------------------------------------------------------
 
@@ -438,21 +446,31 @@ def build(dataset: Dataset) -> TrieIndex:
 class QueryCache:
     """Memoization cache keyed on (query bytes, k, mode) with atomic get-or-insert.
 
-    Cached results are immutable, so returning the stored object gives
-    bit-identical repeats.  Hits and misses are counted for reporting.
+    A cache serves one index: the first index it is used with.  Cached
+    results are immutable, so returning the stored object gives bit-identical
+    repeats.  Hits and misses are counted for reporting.
     """
 
     def __init__(self) -> None:
         self._store: dict[tuple[bytes, int, str], QueryResult] = {}
         self._lock = threading.Lock()
+        self._index: weakref.ref | None = None
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def lookup(self, key: tuple[bytes, int, str]) -> QueryResult | None:
+    def lookup(self, index: TrieIndex, key: tuple[bytes, int, str]) -> QueryResult | None:
+        """The result cached for ``key``, or None; the first call binds ``index``.
+
+        Raises InvalidStateError when the cache already serves another index.
+        """
         with self._lock:
+            if self._index is None:
+                self._index = weakref.ref(index)
+            elif self._index() is not index:
+                raise InvalidStateError("query cache already serves another index")
             res = self._store.get(key)
             if res is None:
                 self.misses += 1
@@ -476,13 +494,14 @@ def memoized_query(
     """Like :meth:`TrieIndex.query` but served from ``cache`` on repeats.
 
     A hit performs no descent and no collection; it contributes zero scan
-    work to ``work`` apart from the hit counter.
+    work to ``work`` apart from the hit counter.  Raises InvalidStateError
+    when ``cache`` has served a different index.
     """
     if cache is None:
         raise InvalidInputError("memoized_query requires a cache")
     query = index._validate_query(q)
     key = (query.tobytes(), int(k), mode)
-    cached = cache.lookup(key)
+    cached = cache.lookup(index, key)
     if cached is not None:
         if work is not None:
             work.cache_hits += 1

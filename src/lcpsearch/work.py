@@ -38,7 +38,7 @@ class WorkReport:
     """Counters for one query or an accumulated query stream.
 
     A report is owned by a single execution context; combining reports from
-    several workers is the explicit, associative :meth:`combine`.
+    several query streams is the explicit, associative :meth:`combine`.
     """
 
     c_sym: float

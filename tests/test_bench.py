@@ -126,12 +126,6 @@ def test_sustained_results_reproducible_across_runs():
     assert r1["config"] == r2["config"]
 
 
-def test_sustained_multi_worker_results_match_single():
-    single = run_scenario(toy("sustained", workers=1)).to_machine()
-    multi = run_scenario(toy("sustained", workers=4)).to_machine()
-    assert single["results"]["work"] == multi["results"]["work"]
-
-
 def test_gnc_step_loop():
     report = run_scenario(toy("gnc", steps=50)).to_machine()
     assert report["results"]["steps"] == 50

@@ -1,5 +1,7 @@
 """Command-line interface, exercised in-process through main()."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ def test_build_empty_dataset(tmp_path, capsys):
     code, out, _ = run(capsys, "build", data_path, "-o", str(tmp_path / "e.lcpi"))
     assert code == 0
     assert "n: 0" in out
+
+
+def test_query_on_snapshot_claiming_huge_rows_is_data_error(tmp_path, capsys):
+    # n = 2^31 - 1 rows of L = 65535 (256 TiB) claimed by 44 bytes: a header
+    # and one empty root record
+    header = struct.pack("<4sH6BQIIQ", b"LCPI", 1, 2, 4, 4, 2, 4, 2, (1 << 31) - 1, 65535, 2, 1)
+    path = tmp_path / "huge.lcpi"
+    path.write_bytes(header + struct.pack("<HIH", 0, 0, 0))
+    code, _, err = run(capsys, "query", str(path), "--query", "0")
+    assert code == 3
+    assert "huge.lcpi" in err
 
 
 def test_query_exact_match(dataset_file, tmp_path, capsys):
@@ -179,6 +192,16 @@ def test_bench_reports_identical_modulo_wall_clock(tmp_path, capsys):
     r1.pop("wall_clock")
     r2.pop("wall_clock")
     assert r1 == r2
+
+
+def test_bench_config_with_the_removed_workers_key_still_runs(tmp_path, capsys):
+    config = tmp_path / "old.cfg"
+    config.write_text("scenario: sustained\nn_items: 200\nmax_len: 8\nqueries: 20\n"
+                      "workers: 4\nseed: 3\n")
+    code, _, err = run(capsys, "bench", str(config))
+    assert code == 0
+    assert "workers" not in err
+    assert "--workers" not in run(capsys, "bench", "--help")[1]
 
 
 def test_bench_unknown_scenario_is_usage_error(tmp_path, capsys):

@@ -205,3 +205,11 @@ def test_snapshot_reader_rejects_two_to_the_31_items():
     header = struct.pack("<4sH6BQIIQ", b"LCPI", 1, 2, 4, 4, 2, 4, 2, 1 << 31, 4, 2, 1)
     with pytest.raises(InvalidInputError, match="limit"):
         index_from_snapshot_bytes(header + bytes(8))
+
+
+def test_snapshot_reader_checks_the_levels_before_allocating_rows():
+    # 44 bytes: a header claiming n = 2^31 - 1 rows of L = 65535 (256 TiB),
+    # then an empty root record
+    header = struct.pack("<4sH6BQIIQ", b"LCPI", 1, 2, 4, 4, 2, 4, 2, (1 << 31) - 1, 65535, 2, 1)
+    with pytest.raises(InvalidInputError, match="leaves at depth 0"):
+        index_from_snapshot_bytes(header + struct.pack("<HIH", 0, 0, 0))

@@ -23,13 +23,18 @@ from lcpsearch import (
 from lcpsearch import tal, trie
 
 
+def _prefix_codes(items, sigma, depth):
+    """Bucket number of each row: its first ``depth`` symbols read in base sigma."""
+    weights = sigma ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    return items[:, :depth].astype(np.int64) @ weights
+
+
 def test_bucket_depth_for_256_buckets_binary_alphabet():
     ds = generate_dataset(512, 16, 2, seed=1)
     engine = build_tal(ds, 256)
     assert engine.bucket_depth == 8
     assert engine.bucket_count == 256
-    assert engine.directory is not None
-    assert len(engine.directory) == 257
+    assert len(engine.bucket_sizes()) == 256
 
 
 def test_single_bucket_is_degenerate_full_scan():
@@ -54,15 +59,15 @@ def test_bucket_count_beyond_length_rejected():
 
 
 def test_partition_property():
-    ds = generate_dataset(500, 10, 2, seed=5)
-    engine = build_tal(ds, 16)
-    sizes = engine.bucket_sizes()
-    assert int(sizes.sum()) == 500
-    assert len(sizes) == 16
-    # concatenated ranges cover [0, n) without gaps
-    bounds = engine.directory
-    assert bounds[0] == 0 and bounds[-1] == 500
-    assert (np.diff(bounds) >= 0).all()
+    # bucket sizes are the counts of each prefix code among the dataset rows
+    for sigma, buckets in ((2, 16), (3, 9), (4, 64), (300, 300)):
+        ds = generate_dataset(500, 10, sigma, seed=5, distribution="clustered")
+        engine = build_tal(ds, buckets)
+        assert engine.bucket_count == buckets
+        codes = _prefix_codes(ds.items, sigma, engine.bucket_depth)
+        sizes = engine.bucket_sizes()
+        assert np.array_equal(sizes, np.bincount(codes, minlength=buckets)), sigma
+        assert int(sizes.sum()) == 500
 
 
 def test_sorted_items_are_permutation_of_dataset():
@@ -72,14 +77,26 @@ def test_sorted_items_are_permutation_of_dataset():
     assert np.array_equal(engine.rows, ds.items[engine.item_index])
 
 
-def test_directory_and_binary_search_agree_on_every_prefix():
-    ds = generate_dataset(300, 8, 2, seed=7)
-    engine = build_tal(ds, 32)  # depth 5, 32 prefixes
-    for code in range(32):
-        q = np.zeros(8, dtype=np.uint16)
-        for j in range(engine.bucket_depth - 1, -1, -1):
-            q[j] = (code >> (engine.bucket_depth - 1 - j)) & 1
-        assert engine.bucket_range_directory(q) == engine.bucket_range_search(q)
+def test_bucket_range_of_every_prefix_is_the_rows_sharing_it():
+    # 300 rows leave some buckets empty; an empty bucket's range is empty and
+    # sits where the prefix would be inserted
+    rng = np.random.default_rng(7)
+    seen_empty = 0
+    for sigma, buckets in ((2, 32), (3, 27), (1024, 1024)):
+        ds = generate_dataset(300, 8, sigma, seed=7)
+        engine = build_tal(ds, buckets)
+        depth = engine.bucket_depth
+        codes = _prefix_codes(ds.items[engine.item_index], sigma, depth)
+        for code in range(buckets):
+            q = rng.integers(0, sigma, size=8)
+            for j in range(depth):
+                q[j] = code // sigma ** (depth - 1 - j) % sigma
+            inside = np.flatnonzero(_profile(ds, q)[engine.item_index] >= depth)
+            lo, hi = engine.bucket_range(q)
+            assert np.array_equal(inside, np.arange(lo, hi)), (sigma, code)
+            assert (lo, hi) == (int((codes < code).sum()), int((codes <= code).sum()))
+            seen_empty += lo == hi
+    assert seen_empty > 0
 
 
 def test_b1_equals_oracle():
@@ -320,24 +337,23 @@ def test_prefix_ranges_at_the_top_of_the_alphabet():
             assert report.symbols_compared == int(np.minimum(bucket + 1, 4).sum())
 
 
-def test_search_path_equals_directory_path(monkeypatch):
-    ds = generate_dataset(3000, 10, 4, seed=31, distribution="clustered")
-    with_directory = build_tal(ds, 64)
-    monkeypatch.setattr(tal, "MAX_DIRECTORY_ENTRIES", 63)
-    searched = build_tal(ds, 64)
-    assert with_directory.directory is not None and searched.directory is None
-    assert searched.nbytes == with_directory.nbytes - with_directory.directory.nbytes
-    queries = np.vstack([
-        generate_queries(ds, 60, seed=32, prefix_len=5),
-        generate_queries(ds, 60, seed=33),
-    ])
-    for i, q in enumerate(queries):
-        k = (1, 10, 500)[i % 3]
-        assert searched.bucket_range(q) == with_directory.bucket_range(q)
-        a, ra = with_directory.query(q, k)
-        b, rb = searched.query(q, k)
-        assert a.to_bytes() == b.to_bytes()
-        assert ra.as_dict() == rb.as_dict()
+def test_bucket_sizes_refuse_too_many_buckets_without_allocating():
+    ds = Dataset.from_rows(np.array([[0, 1, 2], [65535, 0, 0]]), 65536)
+    engine = build_tal(ds, 1 << 25)  # depth 2: 2^32 buckets
+    assert engine.bucket_count == 1 << 32
+    assert engine.nbytes == engine.index.nbytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="listing limit"):
+            engine.bucket_sizes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    res, report = engine.query([65535, 0, 7], 2)
+    assert res.pairs() == [(1, 2)]
+    assert report.items_scanned == 1
+    assert engine.bucket_range([65535, 0, 7]) == (1, 2)
 
 
 def test_long_sequences_answer_with_bounded_scratch():

@@ -10,6 +10,7 @@ from lcpsearch import (
     Alphabet,
     Dataset,
     InvalidInputError,
+    InvalidStateError,
     QueryCache,
     build,
     generate_dataset,
@@ -347,3 +348,18 @@ def test_memoized_distinguishes_k_and_mode():
     memoized_query(index, q, 3, "strict", cache)
     memoized_query(index, q, 2, "complete", cache)
     assert len(cache) == 3
+
+
+def test_cache_refuses_a_second_index():
+    ds = generate_dataset(100, 6, 4, seed=33)
+    first, second = build(ds), build(generate_dataset(100, 6, 4, seed=34))
+    cache = QueryCache()
+    q = ds.items[0]
+    memoized_query(first, q, 2, "complete", cache)
+    with pytest.raises(InvalidStateError, match="another index"):
+        memoized_query(second, q, 2, "complete", cache)
+    # a different object holding the same rows is still another index
+    with pytest.raises(InvalidStateError):
+        memoized_query(build(ds), q, 2, "complete", cache)
+    assert memoized_query(first, q, 2, "complete", cache) is not None
+    assert cache.hits == 1 and cache.misses == 1
