@@ -19,6 +19,7 @@ Every report embeds its config and seed so a run can be replayed exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -30,7 +31,7 @@ from .core import ConfigError, Dataset, InvalidStateError
 from .datagen import generate_dataset, generate_queries
 from .tal import TalEngine
 from .trie import QueryCache, TrieIndex, build, memoized_query
-from .work import work_reduction
+from .work import WorkReport, work_reduction
 
 GIB = 1 << 30
 MATERIALIZATION_ENTRY_BYTES = 2  # half-precision similarity entries
@@ -239,13 +240,17 @@ def _render_kv(data: dict, prefix: str = "") -> list[str]:
 # Scenario execution
 # ---------------------------------------------------------------------------
 
-def _query_stream(index: TrieIndex, queries: np.ndarray, k: int, mode: str):
-    """Run every query once; returns the work, the latencies and the elapsed time."""
+def _query_stream(
+    index: TrieIndex, queries: np.ndarray, k: int, mode: str, deadline: float | None = None
+) -> tuple[WorkReport, list[float], float]:
+    """Work, latencies and elapsed time of the queries run once, or cycled until ``deadline``."""
     report = index.new_work_report()
     latencies: list[float] = []
     t_start = time.perf_counter()
-    for q in queries:
+    for q in queries if deadline is None else itertools.cycle(queries):
         t0 = time.perf_counter()
+        if deadline is not None and t0 >= deadline:
+            break
         index.query(q, k, mode, work=report)
         latencies.append(time.perf_counter() - t0)
     return report, latencies, time.perf_counter() - t_start
@@ -286,25 +291,8 @@ def _scenario_sustained(config: ScenarioConfig) -> ScenarioReport:
             qseed,
         )
 
-    if config.duration_s is None:
-        work, lats, elapsed = _query_stream(index, queries, config.k, config.mode)
-        volatile_counts = False
-    else:
-        # Duration-bound mode: cycle the query batch until the deadline.
-        work = index.new_work_report()
-        lats = []
-        deadline = time.perf_counter() + config.duration_s
-        t0 = time.perf_counter()
-        i = 0
-        while time.perf_counter() < deadline:
-            q = queries[i % len(queries)]
-            ts = time.perf_counter()
-            index.query(q, config.k, config.mode, work=work)
-            lats.append(time.perf_counter() - ts)
-            i += 1
-        elapsed = time.perf_counter() - t0
-        volatile_counts = True
-
+    deadline = None if config.duration_s is None else time.perf_counter() + config.duration_s
+    work, lats, elapsed = _query_stream(index, queries, config.k, config.mode, deadline)
     stats = LatencyStats.from_samples(lats, elapsed)
     det = _determinism_check(
         lambda i: index.query(queries[i % len(queries)], config.k, config.mode).to_bytes(),
@@ -312,7 +300,7 @@ def _scenario_sustained(config: ScenarioConfig) -> ScenarioReport:
     )
     results: dict = {"determinism": det, "index_nodes": index.node_count, "index_bytes": index.nbytes}
     wall: dict = {"latency": stats.as_dict(), "elapsed_s": elapsed}
-    target = wall if volatile_counts else results
+    target = results if deadline is None else wall
     target["work"] = work.as_dict()
     target["energy_work_units_per_query"] = work.energy_work_units / max(1, work.queries)
     return ScenarioReport("sustained", config.as_dict(), results, wall)
@@ -326,14 +314,7 @@ def _scenario_gnc(config: ScenarioConfig) -> ScenarioReport:
         raise ConfigError("gnc scenario generates its own history; remove index_path")
     readings = generate_queries(dataset, config.steps, config.seed + 1, config.prefix_len)
 
-    work = index.new_work_report()
-    lats = []
-    t0 = time.perf_counter()
-    for step in range(config.steps):
-        ts = time.perf_counter()
-        index.query(readings[step], config.k, config.mode, work=work)
-        lats.append(time.perf_counter() - ts)
-    elapsed = time.perf_counter() - t0
+    work, lats, elapsed = _query_stream(index, readings, config.k, config.mode)
     stats = LatencyStats.from_samples(lats, elapsed)
 
     det = _determinism_check(

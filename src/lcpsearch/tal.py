@@ -10,14 +10,15 @@ is answered from.
 
 The bucket itself is not scanned.  A query runs the trie's tier walk
 (:meth:`~lcpsearch.trie.TrieIndex._tiers`) stopped at the bucket depth: the
-rows sharing the query's first ``t`` symbols form one contiguous range found
-by binary search, and the ranges for ``t = D, D-1, ..., d`` are nested tiers
-of equal LCP, the last of which is the bucket.  The top-k is selected tier by
-tier from the deepest, by the same helper as the trie's complete mode.  Only
-the rows at tier boundaries are ever compared with the query, so a query
-costs O(tiers * L log n) plus the rows it selects, and its scratch memory
-stays within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the
-bucket size.
+rows sharing the query's first ``t`` symbols form one contiguous range, and
+the ranges for ``t = D, D-1, ..., d`` are nested tiers of equal LCP, the last
+of which is the bucket.  The tiers inside the rows around the query's
+insertion point are read off one compare of at most ``2 * WINDOW_ROWS``
+rows, and the rest, the bucket among them, are found by binary search.  The
+top-k is selected tier by tier, as in the trie's complete mode.  A query
+costs that compare plus O(L log n) per depth searched, plus the rows it
+selects, and its scratch memory stays within a few times
+``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the bucket size.
 
 The work units still model a scan of the whole bucket: ``items_scanned`` is
 the bucket size and ``symbols_compared`` is ``sum(min(lcp + 1, L))`` over the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, InvalidInputError, validate_query
+from .core import Dataset, InvalidInputError
 from .trie import QueryResult, TrieIndex, build
 from .trie import NEEDLE_CHUNK_BYTES  # noqa: F401  (the scratch bound named above)
 from .work import WorkReport
@@ -86,16 +87,11 @@ class TalEngine:
     def new_work_report(self) -> WorkReport:
         return WorkReport(c_sym=self.c_sym)
 
-    def _validate_query(self, q) -> np.ndarray:
-        return validate_query(q, self.length, self.sigma)
-
     def bucket_range(self, q) -> tuple[int, int]:
         """Row range of the query's prefix bucket."""
-        key = self._validate_query(q).astype(">u2")
         index = self.index
-        starts, ends = index._prefix_ranges(
-            key, np.array([self.bucket_depth]), index._insertion_point(key)
-        )
+        key, mid = index._locate(q)
+        starts, ends = index._prefix_ranges(key, np.array([self.bucket_depth]), mid, mid)
         return int(starts[0]), int(ends[0])
 
     def bucket_sizes(self) -> np.ndarray:
@@ -121,9 +117,8 @@ class TalEngine:
         """
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        key = self._validate_query(q).astype(">u2")
         index = self.index
-        mid = index._insertion_point(key)
+        key, mid = index._locate(q)
         tiers = list(index._tiers(key, mid, self.bucket_depth))
         report = self.new_work_report()
         report.queries = 1

@@ -25,19 +25,20 @@ immutable and may be queried concurrently without synchronization.
 
 Query path
 ----------
-One binary search on the row keys gives the query's insertion point, and
-the rows on either side of it give the matched depth ``D``.  The rows sharing
-the query's first ``t`` symbols form one contiguous range containing that
-point, found by binary search with the query prefix padded by 0x0000 (left
-end) and 0xFFFF (right end), the classic suffix-array technique.  The ranges
-for ``t = D, D-1, ...`` are nested tiers of equal LCP, walked deepest first
-and taken from by one selection loop.  A query costs ``O(L log n)`` per
-binary search, one for the insertion point and one per side per depth
-searched, plus the rows it selects; its scratch memory stays within a few
-times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  The walk can stop at a depth
-``d0``: its last tier is then the range of rows sharing the query's first
-``d0`` symbols.  The TAL engine (:mod:`lcpsearch.tal`) is that walk stopped
-at its bucket depth.
+One binary search on the row keys gives the query's insertion point.  The
+rows sharing the query's first ``t`` symbols form one contiguous range
+containing it, and the ranges for ``t = D, D-1, ...`` are nested tiers of
+equal LCP, walked deepest first and taken from by one selection loop.  The
+tiers inside the ``2w`` rows around the insertion point (``w`` at most
+``WINDOW_ROWS``) are read off one compare of them; only the tiers reaching
+past them are binary-searched, with the query prefix padded by 0x0000 (left
+end) and 0xFFFF (right end), the classic suffix-array technique.  A query
+costs the insertion search, that compare and ``O(L log n)`` per side per
+depth searched past the window, plus the rows it selects; its scratch
+memory stays within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  The
+walk can stop at a depth ``d0``: its last tier is then the range of rows
+sharing the query's first ``d0`` symbols.  The TAL engine
+(:mod:`lcpsearch.tal`) is that walk stopped at its bucket depth.
 
 Query semantics
 ---------------
@@ -84,6 +85,10 @@ from .work import WorkReport, work_per_symbol
 # time, and no query allocates O(L^2) bytes.
 NEEDLE_CHUNK_BYTES = 1 << 16
 
+# Rows on each side of the insertion point compared at once (fewer when that
+# many rows of 2L bytes exceed NEEDLE_CHUNK_BYTES); tiers inside are not searched.
+WINDOW_ROWS = 16
+
 MODE_CODES = {"strict": 0, "complete": 1, "tal": 2}
 
 
@@ -119,6 +124,13 @@ def _smallest(values: np.ndarray, k: int) -> np.ndarray:
     if k >= values.size:
         return np.sort(values)
     return np.sort(np.partition(values, k - 1)[:k])
+
+
+def _row_lcps(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """LCP of each of ``rows`` with ``key``: its first mismatch, one appended past the end."""
+    neq = np.ones((rows.shape[0], key.size + 1), dtype=bool)
+    np.not_equal(rows, key, out=neq[:, :-1])
+    return neq.argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -271,28 +283,28 @@ class TrieIndex:
 
     # -- prefix tiers --------------------------------------------------------
 
-    def _validate_query(self, q) -> np.ndarray:
-        return validate_query(q, self.length, self.sigma)
-
-    def _insertion_point(self, key: np.ndarray) -> int:
-        """First row not below the big-endian query ``key``."""
-        return int(np.searchsorted(self._keys, memcmp_keys(key[None, :]))[0])
+    def _locate(self, q) -> tuple[np.ndarray, int]:
+        """The validated query as a big-endian key, and the first row not below it."""
+        key = validate_query(q, self.length, self.sigma).astype(">u2")
+        return key, int(np.searchsorted(self._keys, memcmp_keys(key[None, :]))[0])
 
     def _prefix_ranges(
-        self, key: np.ndarray, depths: np.ndarray, mid: int
+        self, key: np.ndarray, depths: np.ndarray, a: int, b: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Row range of the rows starting with ``key[:t]``, for each t in ``depths``.
 
         ``key[:t]`` padded with 0x0000 is the smallest row with that prefix
         and padded with 0xFFFF the largest, so one ``searchsorted`` per side
-        finds every range.  Each range contains the query's insertion point
-        ``mid``.
+        finds every range.  Each range must contain rows ``[a, b)``, so only
+        the rows outside them are searched.
         """
-        keep = np.arange(self.length) < depths[:, None]
-        first = memcmp_keys(np.where(keep, key, 0).astype(">u2"))
-        last = memcmp_keys(np.where(keep, key, 0xFFFF).astype(">u2"))
-        starts = np.searchsorted(self._keys[:mid], first, side="left")
-        ends = mid + np.searchsorted(self._keys[mid:], last, side="right")
+        pad = np.arange(self.length) >= depths[:, None]
+        first = key[None, :].repeat(depths.size, axis=0)
+        last = first.copy()
+        np.putmask(first, pad, 0)
+        np.putmask(last, pad, 0xFFFF)
+        starts = np.searchsorted(self._keys[:a], memcmp_keys(first), side="left")
+        ends = b + np.searchsorted(self._keys[b:], memcmp_keys(last), side="right")
         return starts, ends
 
     def _tiers(self, key: np.ndarray, mid: int, d0: int):
@@ -301,33 +313,46 @@ class TrieIndex:
         A generator, deepest tier first.  Each tier is ``(depth, start, end)``:
         rows ``[start, end)`` share at least ``depth`` symbols with the query,
         and the rows a tier adds to the one before it share exactly ``depth``.
-        The next tier's depth is the LCP of the rows just outside the current
-        range; from there the ranges of up to ``NEEDLE_CHUNK_BYTES / 2L``
-        shallower depths are searched at once, so short sequences take one
-        batch and long ones skip the depths no row stops at.  The walk yields
-        nothing when no row shares ``d0`` symbols, and stops after the batch
-        that reaches depth ``d0``, so the last tier is the range of rows
-        sharing ``d0`` symbols and no row outside it is compared.
+        The rows within ``w = min(WINDOW_ROWS, NEEDLE_CHUNK_BYTES / 2L)`` of
+        ``mid`` are compared at once.  Their LCPs never decrease toward
+        ``mid``, so each tier deeper than ``c``, the larger LCP of the
+        window-edge rows that have a neighbour outside the window, lies inside
+        it and is read off by walking outward.  From depth ``c`` the ranges of
+        up to ``NEEDLE_CHUNK_BYTES / 2L`` depths are searched at a time, past
+        the rows taken; each later batch starts at the LCP of the rows just
+        outside.  The walk yields nothing when no row shares ``d0`` symbols,
+        and stops after the batch that reaches ``d0``, so the last tier is
+        the range of rows sharing ``d0`` symbols.
         """
-        length = self.length
+        length, n = self.length, self.n
         step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
+        w = min(WINDOW_ROWS, step)
+        lo, hi = max(0, mid - w), min(n, mid + w)
+        lcp = _row_lcps(self.rows[lo:hi], key).tolist()
+        # rows outside the window share at most c symbols with the query
+        c = max(lcp[0] if lo > 0 else -1, lcp[-1] if hi < n else -1)
+        floor = max(c, d0 - 1)
         a = b = mid
-        while (a, b) != (0, self.n):
-            outside = [i for i in (a - 1, b) if 0 <= i < self.n]
-            neq = self.rows[outside] != key
-            depth = int(np.where(neq.any(axis=1), neq.argmax(axis=1), length).max())
-            if depth < d0:
-                return
+        for depth in sorted({v for v in lcp if v > floor}, reverse=True):
+            while a > lo and lcp[a - 1 - lo] >= depth:
+                a -= 1
+            while b < hi and lcp[b - lo] >= depth:
+                b += 1
+            yield depth, a, b
+        depth = c
+        while depth >= d0:
             depths = np.arange(depth, max(d0 - 1, depth - step), -1)
-            starts, ends = self._prefix_ranges(key, depths, mid)
+            starts, ends = self._prefix_ranges(key, depths, a, b)
             if (starts[0], ends[0]) == (a, b):
                 raise InternalInvariantError(f"no row found sharing {depth} symbols")
             for t, s, e in zip(depths.tolist(), starts.tolist(), ends.tolist()):
                 if (s, e) != (a, b):
                     yield t, s, e
                     a, b = s, e
-            if depths[-1] == d0:
+            outside = [i for i in (a - 1, b) if 0 <= i < n]
+            if depths[-1] == d0 or not outside:
                 return
+            depth = int(_row_lcps(self.rows[outside], key).max())
 
     def _select(self, tiers, mid: int, need: int) -> tuple[np.ndarray, np.ndarray]:
         """Up to ``need`` hits taken tier by tier from ``tiers``: (indices, lcps).
@@ -356,8 +381,7 @@ class TrieIndex:
 
     def descend(self, q) -> tuple[TrieNodeView, int]:
         """Deepest node whose path matches a prefix of ``q``, and its depth."""
-        key = self._validate_query(q).astype(">u2")
-        mid = self._insertion_point(key)
+        key, mid = self._locate(q)
         depth, lo, hi = next(self._tiers(key, mid, 0), (0, 0, self.n))
         return TrieNodeView(self, depth, lo, hi), depth
 
@@ -397,8 +421,7 @@ class TrieIndex:
             raise InvalidInputError(f"mode must be 'strict' or 'complete', got {mode!r}")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        key = self._validate_query(q).astype(">u2")
-        mid = self._insertion_point(key)
+        key, mid = self._locate(q)
         tiers = self._tiers(key, mid, 0)
         if mode == "strict":
             tiers = itertools.islice(tiers, 1)
@@ -499,7 +522,7 @@ def memoized_query(
     """
     if cache is None:
         raise InvalidInputError("memoized_query requires a cache")
-    query = index._validate_query(q)
+    query = validate_query(q, index.length, index.sigma)
     key = (query.tobytes(), int(k), mode)
     cached = cache.lookup(index, key)
     if cached is not None:

@@ -314,6 +314,58 @@ def test_randomized_grid_matches_oracle_and_work_model(monkeypatch, needle_bytes
     _check_trie_grid()
 
 
+def _profile_tiers(lcps, d0):
+    """The tiers of sorted-row LCPs ``lcps`` down to ``d0``, from their values alone."""
+    tiers = []
+    for t in sorted(set(lcps[lcps >= d0].tolist()), reverse=True):
+        rows = np.flatnonzero(lcps >= t)
+        assert rows[-1] - rows[0] + 1 == rows.size  # a tier is contiguous
+        tiers.append((t, int(rows[0]), int(rows[-1]) + 1))
+    return tiers
+
+
+@pytest.mark.parametrize("needle_bytes", [trie.NEEDLE_CHUNK_BYTES, 2])
+@pytest.mark.parametrize("window_rows", [1, 2, 3, 5])
+def test_window_tiers_equal_the_tiers_of_every_row(monkeypatch, window_rows, needle_bytes):
+    monkeypatch.setattr(trie, "WINDOW_ROWS", window_rows)
+    monkeypatch.setattr(trie, "NEEDLE_CHUNK_BYTES", needle_bytes)
+    searched = []
+    search = trie.TrieIndex._prefix_ranges
+
+    def counted(self, *args):
+        searched.append(1)
+        return search(self, *args)
+
+    monkeypatch.setattr(trie.TrieIndex, "_prefix_ranges", counted)
+    rng = np.random.default_rng(2026)
+    seen = {"read_off_window": 0, "searched": 0, "first_row": 0, "past_last_row": 0}
+    for sigma in (2, 3, 4, 300):
+        for length in (1, 2, 5, 11):
+            n = 0 if (sigma, length) == (3, 2) else int(rng.integers(1, 60))
+            ds = Dataset.from_rows(_grid_rows(rng, n, length, sigma), sigma)
+            index = build(ds)
+            for _ in range(8):
+                if n and rng.random() < 0.6:
+                    q = ds.items[rng.integers(0, n)].copy()
+                    c = int(rng.integers(0, length + 1))
+                    q[c:] = rng.integers(0, sigma, size=length - c)
+                else:
+                    q = rng.integers(0, sigma, size=length)
+                key, mid = index._locate(q)
+                lcps = _profile(ds, q)[index.order]
+                for d0 in range(length + 1):
+                    del searched[:]
+                    tiers = list(index._tiers(key, mid, d0))
+                    assert tiers == _profile_tiers(lcps, d0), (sigma, length, d0, q.tolist())
+                    if tiers:
+                        seen["searched" if searched else "read_off_window"] += 1
+                res = index.query(q, n + 5, "complete")
+                assert res.pairs() == oracle_top_k(ds, q, n + 5).pairs()
+                seen["first_row"] += n > 0 and mid == 0
+                seen["past_last_row"] += n > 0 and mid == n
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_prefix_ranges_at_the_top_of_the_alphabet():
     # 0xFFFF is both a real symbol and the padding of the upper search key
     top = 0xFFFF
