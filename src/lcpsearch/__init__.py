@@ -21,7 +21,7 @@ from .core import (
 )
 from .datagen import generate_dataset, generate_queries
 from .oracle import OracleResult, oracle_distinguish, oracle_top_k
-from .tal import TalEngine, build_tal, tal_query
+from .tal import TalEngine, build_tal
 from .trie import QueryCache, QueryResult, TrieIndex, build, memoized_query
 from .work import (
     LandauerGap,
@@ -74,7 +74,6 @@ __all__ = [
     "oracle_distinguish",
     "oracle_top_k",
     "run_scenario",
-    "tal_query",
     "ultrametric_distance",
     "work_reduction",
 ]

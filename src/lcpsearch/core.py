@@ -22,7 +22,7 @@ import numpy as np
 SYMBOL_DTYPE = np.uint16
 MAX_ALPHABET = 65536
 MIN_ALPHABET = 2
-# Sequence length must fit the 2-byte depth field of the index snapshot.
+# Sequence length must fit the u16 matched-depth and lcp fields of QueryResult.to_bytes.
 MAX_LENGTH = 65535
 # Item counts must stay below this: indices are stored as int32.
 MAX_ITEMS = 1 << 31

@@ -69,8 +69,6 @@ class TalEngine:
         depth = _prefix_depth(sigma, bucket_count)
 
         self.index = index
-        self.rows = index.rows
-        self.item_index = index.order
         self.n = index.n
         self.length = length
         self.sigma = sigma
@@ -106,7 +104,7 @@ class TalEngine:
             )
         codes = np.zeros(self.n, dtype=np.int64)
         for j in range(self.bucket_depth):
-            codes = codes * self.sigma + self.rows[:, j]
+            codes = codes * self.sigma + self.index.rows[:, j]
         return np.bincount(codes, minlength=self.bucket_count)
 
     def query(self, q, k: int, work: WorkReport | None = None) -> tuple[QueryResult, WorkReport]:
@@ -148,7 +146,3 @@ def build_tal(dataset: Dataset, bucket_count: int) -> TalEngine:
     construct a :class:`TalEngine` per count over it.
     """
     return TalEngine(build(dataset), bucket_count)
-
-
-def tal_query(engine: TalEngine, q, k: int) -> tuple[QueryResult, WorkReport]:
-    return engine.query(q, k)

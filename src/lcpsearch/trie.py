@@ -400,16 +400,6 @@ class TrieIndex:
             raise InternalInvariantError("collection emitted more than k items")
         return picked
 
-    def subtree_items_lexicographic(self, node: TrieNodeView) -> np.ndarray:
-        """All subtree items in breadth-first emission order.
-
-        With fixed-length items, postings exist only at full depth and a
-        breadth-first walk with symbol-sorted children reaches them in sorted
-        row order, so the emission order is exactly this slice of the sort
-        permutation.
-        """
-        return self.order[node.row_lo : node.row_hi]
-
     def query(self, q, k: int, mode: str = "strict", work: WorkReport | None = None) -> QueryResult:
         """Top-k by LCP against the indexed dataset.
 

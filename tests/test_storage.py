@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,24 +158,24 @@ def test_snapshot_reader_rejects_corruption():
 PINNED_SNAPSHOTS = {
     "uniform": (
         lambda: generate_dataset(300, 9, 4, seed=101),
-        "dfe2dcd1829755c270535c9d920a98bcd725e531487e20536b8f65d0f8c9d311",
+        "a7008c435440620ca9eb287b1f2f2af101e16fe579a11cdde95adb1c184aaadb",
     ),
     "duplicates": (
         lambda: Dataset.from_rows(
             np.repeat(generate_dataset(60, 6, 3, seed=102).items, 3, axis=0), 3
         ),
-        "73ba2f463569237f5ef5d09feffa6c3c12c673da217da0fd58cddbb0a5b0e51d",
+        "944ef8e7a1e0936fc00ec840160eada7863596a76e3c07c5794bb5cdc141fb03",
     ),
     "empty": (
         lambda: Dataset.from_rows(np.zeros((0, 5), dtype=np.uint16), 4),
-        "08348268d0d15406c37e8b60b99cb2f4303bb6716f0fa38474d22761288041a0",
+        "f303c9fa2eb4d6865cf965a85b52092112516468c4fc073fe2416a1944e314af",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SNAPSHOTS))
 def test_snapshot_bytes_are_pinned(case):
-    # LCPI v1 is a published format: these digests must never change
+    # LCPI v2 is the published format: these digests must never change
     make, digest = PINNED_SNAPSHOTS[case]
     snap = index_snapshot_bytes(build(make()))
     assert hashlib.sha256(snap).hexdigest() == digest
@@ -201,15 +202,57 @@ def test_snapshot_mutations_are_rejected_or_canonical():
         assert index_snapshot_bytes(loaded) == raw
 
 
+def test_every_bit_flip_truncation_and_extension_is_rejected():
+    # no byte of a snapshot is free, and the CRC catches every single-bit flip
+    ds = Dataset.from_rows(np.repeat(generate_dataset(32, 5, 3, seed=41).items, 2, axis=0), 3)
+    snap = index_snapshot_bytes(build(ds))
+    mutants = [snap[:cut] for cut in range(len(snap))] + [snap + b"\x00"]
+    for bit in range(8 * len(snap)):
+        bad = bytearray(snap)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        mutants.append(bytes(bad))
+    for raw in mutants:
+        with pytest.raises(InvalidInputError):
+            index_from_snapshot_bytes(raw)
+
+
 def test_snapshot_reader_rejects_two_to_the_31_items():
-    header = struct.pack("<4sH6BQIIQ", b"LCPI", 1, 2, 4, 4, 2, 4, 2, 1 << 31, 4, 2, 1)
+    header = struct.pack("<4sHQII", b"LCPI", 2, 1 << 31, 4, 2)
     with pytest.raises(InvalidInputError, match="limit"):
-        index_from_snapshot_bytes(header + bytes(8))
+        index_from_snapshot_bytes(header)
 
 
-def test_snapshot_reader_checks_the_levels_before_allocating_rows():
-    # 44 bytes: a header claiming n = 2^31 - 1 rows of L = 65535 (256 TiB),
-    # then an empty root record
+def test_snapshot_reader_checks_the_size_before_allocating_rows():
+    # 22 bytes: a header claiming n = 2^31 - 1 rows of L = 65535 (256 TiB)
+    header = struct.pack("<4sHQII", b"LCPI", 2, (1 << 31) - 1, 65535, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="size mismatch"):
+            index_from_snapshot_bytes(header)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_version_1_snapshot_is_refused():
+    # a v1 header and one empty root record, as written before version 2
     header = struct.pack("<4sH6BQIIQ", b"LCPI", 1, 2, 4, 4, 2, 4, 2, (1 << 31) - 1, 65535, 2, 1)
-    with pytest.raises(InvalidInputError, match="leaves at depth 0"):
+    with pytest.raises(InvalidInputError, match="unsupported snapshot version 1.*lcpsearch build"):
         index_from_snapshot_bytes(header + struct.pack("<HIH", 0, 0, 0))
+
+
+def test_snapshot_roundtrip_at_the_length_and_alphabet_limits():
+    rows = np.zeros((3, 65535), dtype=np.uint16)
+    rows[0, -1] = 0xFFFF
+    rows[1, 0] = 0xFFFF
+    rows[2, 1000] = 7
+    index = build(Dataset.from_rows(rows, 65536))
+    snap = index_snapshot_bytes(index)
+    assert len(snap) == 22 + 3 * (2 * 65535 + 4) + 4
+    loaded = index_from_snapshot_bytes(snap)
+    assert loaded.sigma == 65536
+    assert np.array_equal(loaded.rows, index.rows) and np.array_equal(loaded.order, index.order)
+    for q in rows:
+        for mode in ("strict", "complete"):
+            assert loaded.query(q, 3, mode).to_bytes() == index.query(q, 3, mode).to_bytes()

@@ -17,7 +17,6 @@ from lcpsearch import (
     landauer_gap,
     landauer_limit,
     oracle_top_k,
-    tal_query,
     work_reduction,
 )
 from lcpsearch import tal, trie
@@ -73,8 +72,9 @@ def test_partition_property():
 def test_sorted_items_are_permutation_of_dataset():
     ds = generate_dataset(200, 6, 4, seed=6)
     engine = build_tal(ds, 16)
-    assert np.array_equal(np.sort(engine.item_index), np.arange(200))
-    assert np.array_equal(engine.rows, ds.items[engine.item_index])
+    order = engine.index.order
+    assert np.array_equal(np.sort(order), np.arange(200))
+    assert np.array_equal(engine.index.rows, ds.items[order])
 
 
 def test_bucket_range_of_every_prefix_is_the_rows_sharing_it():
@@ -86,12 +86,13 @@ def test_bucket_range_of_every_prefix_is_the_rows_sharing_it():
         ds = generate_dataset(300, 8, sigma, seed=7)
         engine = build_tal(ds, buckets)
         depth = engine.bucket_depth
-        codes = _prefix_codes(ds.items[engine.item_index], sigma, depth)
+        order = engine.index.order
+        codes = _prefix_codes(ds.items[order], sigma, depth)
         for code in range(buckets):
             q = rng.integers(0, sigma, size=8)
             for j in range(depth):
                 q[j] = code // sigma ** (depth - 1 - j) % sigma
-            inside = np.flatnonzero(_profile(ds, q)[engine.item_index] >= depth)
+            inside = np.flatnonzero(_profile(ds, q)[order] >= depth)
             lo, hi = engine.bucket_range(q)
             assert np.array_equal(inside, np.arange(lo, hi)), (sigma, code)
             assert (lo, hi) == (int((codes < code).sum()), int((codes <= code).sum()))
@@ -442,14 +443,6 @@ def test_trie_and_tal_reject_the_same_queries():
         with pytest.raises(InvalidInputError) as tal_error:
             engine.query(bad, 3)
         assert str(trie_error.value) == str(tal_error.value)
-
-
-def test_tal_query_module_function():
-    ds = generate_dataset(50, 6, 2, seed=20)
-    engine = build_tal(ds, 4)
-    res, report = tal_query(engine, ds.items[0], 3)
-    assert len(res.indices) >= 1
-    assert report.queries == 1
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def test_bfs_emission_equals_lexicographic_slice():
     ds = generate_dataset(180, 5, 3, seed=6)
     index = build(ds)
     for node in (index.root, index.root.children()[0]):
-        assert bfs_reference(node) == index.subtree_items_lexicographic(node).tolist()
+        assert bfs_reference(node) == index.order[node.row_lo : node.row_hi].tolist()
 
 
 def test_collect_fast_path_returns_all_items():
