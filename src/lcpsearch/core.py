@@ -57,6 +57,11 @@ class Alphabet:
             )
 
 
+def _holds_integers(arr: np.ndarray) -> bool:
+    """Whether ``arr`` has a plain integer dtype: not bool, float, timedelta or object."""
+    return arr.dtype.kind in "iu"
+
+
 def as_sequence(values, *, length: int | None = None, alphabet: Alphabet | None = None) -> np.ndarray:
     """Coerce ``values`` to a read-only 1-D uint16 symbol array, validating shape.
 
@@ -66,7 +71,7 @@ def as_sequence(values, *, length: int | None = None, alphabet: Alphabet | None 
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise InvalidInputError(f"sequence must be 1-D, got shape {arr.shape}")
-    if arr.size and (not np.issubdtype(arr.dtype, np.integer) or int(arr.min()) < 0):
+    if arr.size and (not _holds_integers(arr) or int(arr.min()) < 0):
         raise InvalidInputError("sequence symbols must be non-negative integers")
     if arr.size and int(arr.max()) >= MAX_ALPHABET:
         raise InvalidInputError(f"symbol {int(arr.max())} exceeds the maximum alphabet size")
@@ -114,7 +119,7 @@ class Dataset:
         if arr.ndim != 2:
             raise InvalidInputError(f"rows must be 2-D, got shape {arr.shape}")
         if arr.size:
-            if not np.issubdtype(arr.dtype, np.integer):
+            if not _holds_integers(arr):
                 raise InvalidInputError("symbols must be integers")
             lo, hi = int(arr.min()), int(arr.max())
             if lo < 0 or hi >= alphabet.size:
@@ -162,19 +167,22 @@ def ultrametric_distance(s, t) -> int:
 
 
 def validate_query(q, length: int, sigma: int) -> np.ndarray:
-    """Check a query against an index's length and alphabet; return it as uint16.
+    """Check a query against an index's length and alphabet; return its key.
 
-    Shared by every query engine, so all of them reject the same inputs with
-    the same :class:`InvalidInputError` messages.
+    The key is a new big-endian (``>u2``) array, the form the index's rows
+    are searched in.  Shared by every query engine, so all of them reject the
+    same inputs with the same :class:`InvalidInputError` messages.
     """
     arr = np.asarray(q)
     if arr.ndim != 1:
         raise InvalidInputError(f"query must be 1-D, got shape {arr.shape}")
     if arr.shape[0] != length:
         raise InvalidInputError(f"query length {arr.shape[0]} != index length {length}")
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= sigma):
+    if not _holds_integers(arr):
+        raise InvalidInputError(f"query symbols must be integers, got dtype {arr.dtype}")
+    if int(arr.max()) >= sigma or (arr.dtype.kind != "u" and int(arr.min()) < 0):
         raise InvalidInputError(f"query symbol out of range for alphabet of size {sigma}")
-    return np.ascontiguousarray(arr, dtype=SYMBOL_DTYPE)
+    return arr.astype(">u2")
 
 
 def memcmp_keys(be_rows: np.ndarray) -> np.ndarray:

@@ -12,13 +12,17 @@ The bucket itself is not scanned.  A query runs the trie's tier walk
 (:meth:`~lcpsearch.trie.TrieIndex._tiers`) stopped at the bucket depth: the
 rows sharing the query's first ``t`` symbols form one contiguous range, and
 the ranges for ``t = D, D-1, ..., d`` are nested tiers of equal LCP, the last
-of which is the bucket.  The tiers inside the rows around the query's
-insertion point are read off one compare of at most ``2 * WINDOW_ROWS``
-rows, and the rest, the bucket among them, are found by binary search.  The
-top-k is selected tier by tier, as in the trie's complete mode.  A query
-costs that compare plus O(L log n) per depth searched, plus the rows it
-selects, and its scratch memory stays within a few times
+of which is the bucket.  When the ladder of depths ``L..d`` is no longer than
+the trie's window is wide (at most ``WINDOW_ROWS``; any ``d >= 1`` at
+``L = 16``), all of its ranges come from one batched binary search over the
+index, two ``searchsorted`` calls in all, which also give the insertion
+point.  Longer ladders read the tiers inside the rows around the insertion
+point off one compare of at most ``2 * WINDOW_ROWS`` rows, and search the
+rest, the bucket among them.  The top-k is selected tier by tier, as in the
+trie's complete mode.  A query costs O(L log n) per depth searched plus the
+rows it selects, and its scratch memory stays within a few times
 ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the bucket size.
+:meth:`TalEngine.bucket_range` searches the bucket's depth alone.
 
 The work units still model a scan of the whole bucket: ``items_scanned`` is
 the bucket size and ``symbols_compared`` is ``sum(min(lcp + 1, L))`` over the
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, InvalidInputError
+from .core import Dataset, InvalidInputError, validate_query
 from .trie import QueryResult, TrieIndex, build
 from .trie import NEEDLE_CHUNK_BYTES  # noqa: F401  (the scratch bound named above)
 from .work import WorkReport
@@ -86,10 +90,10 @@ class TalEngine:
         return WorkReport(c_sym=self.c_sym)
 
     def bucket_range(self, q) -> tuple[int, int]:
-        """Row range of the query's prefix bucket."""
+        """Row range of the query's prefix bucket: one search per side over the index."""
         index = self.index
-        key, mid = index._locate(q)
-        starts, ends = index._prefix_ranges(key, np.array([self.bucket_depth]), mid, mid)
+        key = validate_query(q, self.length, self.sigma)
+        starts, ends = index._prefix_ranges(key, np.array([self.bucket_depth]), self.n, 0)
         return int(starts[0]), int(ends[0])
 
     def bucket_sizes(self) -> np.ndarray:
@@ -116,17 +120,16 @@ class TalEngine:
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
         index = self.index
-        key, mid = index._locate(q)
-        tiers = list(index._tiers(key, mid, self.bucket_depth))
-        report = self.new_work_report()
-        report.queries = 1
+        mid, tiers = index._tiers(validate_query(q, self.length, self.sigma), self.bucket_depth)
+        tiers = list(tiers)
         # the bucket is the last tier; the work model charges each of its rows
         # min(lcp + 1, L) symbol comparisons
-        widths = [0] + [e - s for _, s, e in tiers]
-        report.items_scanned = widths[-1]
-        report.symbols_compared = sum(
-            (w - v) * min(t + 1, self.length)
-            for (t, _, _), v, w in zip(tiers, widths, widths[1:])
+        scanned = symbols = 0
+        for t, s, e in tiers:
+            symbols += (e - s - scanned) * min(t + 1, self.length)
+            scanned = e - s
+        report = WorkReport(
+            c_sym=self.c_sym, symbols_compared=symbols, items_scanned=scanned, queries=1
         )
         indices, lcps = index._select(tiers, mid, k)
         if work is not None:

@@ -25,20 +25,31 @@ immutable and may be queried concurrently without synchronization.
 
 Query path
 ----------
-One binary search on the row keys gives the query's insertion point.  The
-rows sharing the query's first ``t`` symbols form one contiguous range
-containing it, and the ranges for ``t = D, D-1, ...`` are nested tiers of
-equal LCP, walked deepest first and taken from by one selection loop.  The
-tiers inside the ``2w`` rows around the insertion point (``w`` at most
-``WINDOW_ROWS``) are read off one compare of them; only the tiers reaching
-past them are binary-searched, with the query prefix padded by 0x0000 (left
-end) and 0xFFFF (right end), the classic suffix-array technique.  A query
-costs the insertion search, that compare and ``O(L log n)`` per side per
-depth searched past the window, plus the rows it selects; its scratch
-memory stays within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  The
-walk can stop at a depth ``d0``: its last tier is then the range of rows
-sharing the query's first ``d0`` symbols.  The TAL engine
-(:mod:`lcpsearch.tal`) is that walk stopped at its bucket depth.
+The rows sharing the query's first ``t`` symbols form one contiguous range
+containing its insertion point (the first row not below it), and the
+ranges for ``t = D, D-1, ...`` are nested tiers of equal LCP, walked
+deepest first and taken from by one selection loop.  The walk can stop at
+a depth ``d0``: its last tier is then the range of rows sharing ``d0``
+symbols.  A range is found by binary search with the query prefix padded
+by 0x0000 (left end) and 0xFFFF (right end), the classic suffix-array
+technique, and the walk has two entries:
+
+- a short ladder, ``L - d0 + 1`` depths no more than the window is wide
+  (``w``, at most ``WINDOW_ROWS``), searches every depth ``L..d0`` in one
+  batch over the whole index; the left end of the depth-``L`` range is the
+  insertion point, so nothing else is searched;
+- a longer one first binary-searches the insertion point, reads off the
+  tiers inside the ``2w`` rows around it from one compare of them, and
+  searches only the tiers reaching past them.
+
+A query costs ``O(L log n)`` per side per depth searched, plus the rows it
+selects (and on the window entry, the insertion search and the compare);
+its scratch memory stays within a few times
+``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  Strict and complete queries
+(``d0 = 0``) take the window entry unless ``L < w``.  The TAL engine
+(:mod:`lcpsearch.tal`) is the walk stopped at its bucket depth, so it
+takes the ladder search when that depth is at least ``L + 1 - w`` (any
+depth from 1 at ``L = 16``).
 
 Query semantics
 ---------------
@@ -120,10 +131,13 @@ class QueryResult:
 
 
 def _smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest entries of ``values``, ascending. k may exceed the size."""
-    if k >= values.size:
-        return np.sort(values)
-    return np.sort(np.partition(values, k - 1)[:k])
+    """The k smallest entries of ``values``, ascending, in a new array. k may exceed the size."""
+    out = values.copy()
+    if k < out.size:
+        out.partition(k - 1)
+        out = out[:k].copy()
+    out.sort()
+    return out
 
 
 def _row_lcps(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -131,6 +145,18 @@ def _row_lcps(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
     neq = np.ones((rows.shape[0], key.size + 1), dtype=bool)
     np.not_equal(rows, key, out=neq[:, :-1])
     return neq.argmax(axis=1)
+
+
+def _new_ranges(depths: np.ndarray, starts: np.ndarray, ends: np.ndarray, a: int, b: int):
+    """``(depth, start, end)`` of each searched range wider than the one before it.
+
+    The ranges are nested, widening from ``[a, b)``; a range equal to the one
+    before it adds no row and is no tier.
+    """
+    for t, s, e in zip(depths.tolist(), starts.tolist(), ends.tolist()):
+        if (s, e) != (a, b):
+            yield t, s, e
+            a, b = s, e
 
 
 @dataclass(frozen=True)
@@ -283,11 +309,6 @@ class TrieIndex:
 
     # -- prefix tiers --------------------------------------------------------
 
-    def _locate(self, q) -> tuple[np.ndarray, int]:
-        """The validated query as a big-endian key, and the first row not below it."""
-        key = validate_query(q, self.length, self.sigma).astype(">u2")
-        return key, int(np.searchsorted(self._keys, memcmp_keys(key[None, :]))[0])
-
     def _prefix_ranges(
         self, key: np.ndarray, depths: np.ndarray, a: int, b: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -296,37 +317,61 @@ class TrieIndex:
         ``key[:t]`` padded with 0x0000 is the smallest row with that prefix
         and padded with 0xFFFF the largest, so one ``searchsorted`` per side
         finds every range.  Each range must contain rows ``[a, b)``, so only
-        the rows outside them are searched.
+        the rows outside them are searched; ``a = n, b = 0`` searches them all.
         """
+        needles = np.empty((2, depths.size, self.length), dtype=">u2")
+        needles[...] = key
         pad = np.arange(self.length) >= depths[:, None]
-        first = key[None, :].repeat(depths.size, axis=0)
-        last = first.copy()
-        np.putmask(first, pad, 0)
-        np.putmask(last, pad, 0xFFFF)
-        starts = np.searchsorted(self._keys[:a], memcmp_keys(first), side="left")
-        ends = b + np.searchsorted(self._keys[b:], memcmp_keys(last), side="right")
+        np.putmask(needles[0], pad, 0)
+        np.putmask(needles[1], pad, 0xFFFF)
+        first, last = needles.view(self._keys.dtype)[..., 0]
+        starts = self._keys[:a].searchsorted(first, side="left")
+        ends = self._keys[b:].searchsorted(last, side="right")
+        if b:
+            ends += b
         return starts, ends
 
-    def _tiers(self, key: np.ndarray, mid: int, d0: int):
-        """Equal-LCP tiers of the rows sharing ``d0`` symbols with the query.
+    def _tiers(self, key: np.ndarray, d0: int):
+        """The query's insertion point and its equal-LCP tiers down to depth ``d0``.
 
-        A generator, deepest tier first.  Each tier is ``(depth, start, end)``:
-        rows ``[start, end)`` share at least ``depth`` symbols with the query,
-        and the rows a tier adds to the one before it share exactly ``depth``.
-        The rows within ``w = min(WINDOW_ROWS, NEEDLE_CHUNK_BYTES / 2L)`` of
-        ``mid`` are compared at once.  Their LCPs never decrease toward
-        ``mid``, so each tier deeper than ``c``, the larger LCP of the
-        window-edge rows that have a neighbour outside the window, lies inside
-        it and is read off by walking outward.  From depth ``c`` the ranges of
-        up to ``NEEDLE_CHUNK_BYTES / 2L`` depths are searched at a time, past
-        the rows taken; each later batch starts at the LCP of the rows just
-        outside.  The walk yields nothing when no row shares ``d0`` symbols,
-        and stops after the batch that reaches ``d0``, so the last tier is
-        the range of rows sharing ``d0`` symbols.
+        ``key`` is a validated query key.  Returns ``(mid, tiers)``: ``mid``
+        is the first row not below the key, and ``tiers`` iterates deepest
+        first over ``(depth, start, end)``: rows ``[start, end)`` share at
+        least ``depth`` symbols with the query, and the rows a tier adds to
+        the one before it share exactly ``depth``.  It yields nothing when no
+        row shares ``d0`` symbols; otherwise its last tier is the range of
+        rows sharing ``d0`` symbols.
+
+        When the ladder of depths ``L..d0`` is no longer than the window
+        ``w = min(WINDOW_ROWS, NEEDLE_CHUNK_BYTES / 2L)`` is wide, every depth
+        of it is searched in one batch over the whole index: the left end of
+        the depth-``L`` range is ``mid``, and depths no row reaches give empty
+        ranges at ``mid``, which are skipped.  Longer ladders take the window
+        walk of :meth:`_window_tiers`, which locates ``mid`` first.
         """
-        length, n = self.length, self.n
+        length = self.length
         step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
         w = min(WINDOW_ROWS, step)
+        if length - d0 + 1 <= w:
+            depths = np.arange(length, d0 - 1, -1)
+            starts, ends = self._prefix_ranges(key, depths, self.n, 0)
+            mid = int(starts[0])
+            return mid, _new_ranges(depths, starts, ends, mid, mid)
+        mid = int(self._keys.searchsorted(key.view(self._keys.dtype))[0])
+        return mid, self._window_tiers(key, mid, d0, w, step)
+
+    def _window_tiers(self, key: np.ndarray, mid: int, d0: int, w: int, step: int):
+        """The tiers of :meth:`_tiers`, read off the rows around ``mid`` first.
+
+        The rows within ``w`` of ``mid`` are compared at once.  Their LCPs
+        never decrease toward ``mid``, so each tier deeper than ``c``, the
+        larger LCP of the window-edge rows that have a neighbour outside the
+        window, lies inside it and is read off by walking outward.  From
+        depth ``c`` the ranges of up to ``step`` depths are searched at a
+        time, past the rows taken; each later batch starts at the LCP of the
+        rows just outside.  The walk stops after the batch that reaches ``d0``.
+        """
+        n = self.n
         lo, hi = max(0, mid - w), min(n, mid + w)
         lcp = _row_lcps(self.rows[lo:hi], key).tolist()
         # rows outside the window share at most c symbols with the query
@@ -345,10 +390,8 @@ class TrieIndex:
             starts, ends = self._prefix_ranges(key, depths, a, b)
             if (starts[0], ends[0]) == (a, b):
                 raise InternalInvariantError(f"no row found sharing {depth} symbols")
-            for t, s, e in zip(depths.tolist(), starts.tolist(), ends.tolist()):
-                if (s, e) != (a, b):
-                    yield t, s, e
-                    a, b = s, e
+            yield from _new_ranges(depths, starts, ends, a, b)
+            a, b = int(starts[-1]), int(ends[-1])
             outside = [i for i in (a - 1, b) if 0 <= i < n]
             if depths[-1] == d0 or not outside:
                 return
@@ -360,29 +403,38 @@ class TrieIndex:
         Each tier contributes its new rows, those outside the tier before it
         (the first tier's "before" is the empty range at ``mid``), selected
         by ascending item index.  Tiers are consumed only until ``need`` hits
-        are taken.
+        are taken.  Indices have the dtype of ``order`` on every path.
         """
-        out_idx, out_lcp = [], []
+        order = self.order
+        picked, depths, takes = [], [], []
         got = 0
         a = b = mid
         for t, s, e in tiers:
             take = min(need - got, (a - s) + (e - b))
-            out_idx.append(_smallest(np.concatenate((self.order[s:a], self.order[b:e])), take))
-            out_lcp.append(np.full(take, t, dtype=np.int64))
+            if s == a:
+                new = order[b:e]
+            elif e == b:
+                new = order[s:a]
+            else:
+                new = np.concatenate((order[s:a], order[b:e]))
+            picked.append(_smallest(new, take))
+            depths.append(t)
+            takes.append(take)
             got += take
             a, b = s, e
             if got >= need:
                 break
-        if not out_idx:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        return np.concatenate(out_idx), np.concatenate(out_lcp)
+        if not picked:
+            return np.zeros(0, dtype=order.dtype), np.zeros(0, dtype=np.int64)
+        indices = picked[0] if len(picked) == 1 else np.concatenate(picked)
+        return indices, np.array(depths, dtype=np.int64).repeat(takes)
 
     # -- queries -----------------------------------------------------------
 
     def descend(self, q) -> tuple[TrieNodeView, int]:
         """Deepest node whose path matches a prefix of ``q``, and its depth."""
-        key, mid = self._locate(q)
-        depth, lo, hi = next(self._tiers(key, mid, 0), (0, 0, self.n))
+        _, tiers = self._tiers(validate_query(q, self.length, self.sigma), 0)
+        depth, lo, hi = next(tiers, (0, 0, self.n))
         return TrieNodeView(self, depth, lo, hi), depth
 
     def collect_top_k(self, node: TrieNodeView, k: int) -> np.ndarray:
@@ -411,8 +463,7 @@ class TrieIndex:
             raise InvalidInputError(f"mode must be 'strict' or 'complete', got {mode!r}")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        key, mid = self._locate(q)
-        tiers = self._tiers(key, mid, 0)
+        mid, tiers = self._tiers(validate_query(q, self.length, self.sigma), 0)
         if mode == "strict":
             tiers = itertools.islice(tiers, 1)
         indices, lcps = self._select(tiers, mid, min(k, self.n))

@@ -35,10 +35,10 @@ def test_build_prints_summary(dataset_file, tmp_path, capsys):
 
 def test_build_twice_is_byte_identical(dataset_file, tmp_path, capsys):
     _, data_path = dataset_file
-    p1, p2 = str(tmp_path / "a.lcpi"), str(tmp_path / "b.lcpi")
-    assert run(capsys, "build", data_path, "-o", p1)[0] == 0
-    assert run(capsys, "build", data_path, "-o", p2)[0] == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    p1, p2 = tmp_path / "a.lcpi", tmp_path / "b.lcpi"
+    assert run(capsys, "build", data_path, "-o", str(p1))[0] == 0
+    assert run(capsys, "build", data_path, "-o", str(p2))[0] == 0
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_build_missing_file_is_data_error(tmp_path, capsys):

@@ -20,6 +20,7 @@ from lcpsearch import (
     work_reduction,
 )
 from lcpsearch import tal, trie
+from lcpsearch.core import validate_query
 
 
 def _prefix_codes(items, sigma, depth):
@@ -325,26 +326,34 @@ def _profile_tiers(lcps, d0):
     return tiers
 
 
-@pytest.mark.parametrize("needle_bytes", [trie.NEEDLE_CHUNK_BYTES, 2])
+# 44 bytes searches two depths at a time at L = 11, so walks there take several batches
+@pytest.mark.parametrize("needle_bytes", [trie.NEEDLE_CHUNK_BYTES, 2, 44])
 @pytest.mark.parametrize("window_rows", [1, 2, 3, 5])
 def test_window_tiers_equal_the_tiers_of_every_row(monkeypatch, window_rows, needle_bytes):
     monkeypatch.setattr(trie, "WINDOW_ROWS", window_rows)
     monkeypatch.setattr(trie, "NEEDLE_CHUNK_BYTES", needle_bytes)
-    searched = []
-    search = trie.TrieIndex._prefix_ranges
+    searched, compared = [], []
+    search, compare = trie.TrieIndex._prefix_ranges, trie._row_lcps
 
     def counted(self, *args):
         searched.append(1)
         return search(self, *args)
 
+    def counted_compare(*args):
+        compared.append(1)
+        return compare(*args)
+
     monkeypatch.setattr(trie.TrieIndex, "_prefix_ranges", counted)
+    monkeypatch.setattr(trie, "_row_lcps", counted_compare)
     rng = np.random.default_rng(2026)
-    seen = {"read_off_window": 0, "searched": 0, "first_row": 0, "past_last_row": 0}
+    seen = {"read_off_window": 0, "searched": 0, "first_row": 0, "past_last_row": 0,
+            "search_first": 0, "window": 0, "search_first_at_w": 0, "window_at_w_plus_1": 0}
     for sigma in (2, 3, 4, 300):
         for length in (1, 2, 5, 11):
             n = 0 if (sigma, length) == (3, 2) else int(rng.integers(1, 60))
             ds = Dataset.from_rows(_grid_rows(rng, n, length, sigma), sigma)
             index = build(ds)
+            w = min(window_rows, max(1, needle_bytes // (2 * length)))
             for _ in range(8):
                 if n and rng.random() < 0.6:
                     q = ds.items[rng.integers(0, n)].copy()
@@ -352,22 +361,35 @@ def test_window_tiers_equal_the_tiers_of_every_row(monkeypatch, window_rows, nee
                     q[c:] = rng.integers(0, sigma, size=length - c)
                 else:
                     q = rng.integers(0, sigma, size=length)
-                key, mid = index._locate(q)
+                key = validate_query(q, length, sigma)
                 lcps = _profile(ds, q)[index.order]
+                below = sum(tuple(row) < tuple(q) for row in ds.items[index.order].tolist())
                 for d0 in range(length + 1):
-                    del searched[:]
-                    tiers = list(index._tiers(key, mid, d0))
+                    del searched[:], compared[:]
+                    mid, tiers = index._tiers(key, d0)
+                    tiers = list(tiers)
+                    assert mid == below
                     assert tiers == _profile_tiers(lcps, d0), (sigma, length, d0, q.tolist())
+                    # the ladder L..d0 is searched at once when the window is as wide
+                    ladder = length - d0 + 1
+                    assert bool(compared) == (ladder > w), (ladder, w)
+                    seen["window" if compared else "search_first"] += 1
+                    seen["search_first_at_w"] += ladder == w
+                    seen["window_at_w_plus_1"] += ladder == w + 1
                     if tiers:
                         seen["searched" if searched else "read_off_window"] += 1
                 res = index.query(q, n + 5, "complete")
                 assert res.pairs() == oracle_top_k(ds, q, n + 5).pairs()
-                seen["first_row"] += n > 0 and mid == 0
-                seen["past_last_row"] += n > 0 and mid == n
+                seen["first_row"] += n > 0 and below == 0
+                seen["past_last_row"] += n > 0 and below == n
+    if window_rows == 1 or needle_bytes == 2:
+        # with one row a side, the window alone answers a one-depth walk
+        # (d0 = L), and that walk now takes the ladder search
+        del seen["read_off_window"]
     assert all(count > 0 for count in seen.values()), seen
 
 
-def test_prefix_ranges_at_the_top_of_the_alphabet():
+def test_prefix_ranges_at_the_top_of_the_alphabet(monkeypatch):
     # 0xFFFF is both a real symbol and the padding of the upper search key
     top = 0xFFFF
     rows = np.array([
@@ -380,14 +402,17 @@ def test_prefix_ranges_at_the_top_of_the_alphabet():
         [5, top, top, top],
     ])
     ds = Dataset.from_rows(rows, 65536)
-    for b in (1, 65536):
-        engine = build_tal(ds, b)
-        for q in ([5, top, top, top], [5, top, top, 7], [top, top, top, 0], [5, top, 1, 1]):
-            res, report = engine.query(q, 3)
-            lcps = _profile(ds, q)
-            bucket = lcps[lcps >= engine.bucket_depth]
-            assert res.pairs() == oracle_top_k(ds, q, 3).pairs()[: min(3, bucket.size)]
-            assert report.symbols_compared == int(np.minimum(bucket + 1, 4).sum())
+    # one ladder search at the default window; the window walk with one row a side
+    for window_rows in (trie.WINDOW_ROWS, 1):
+        monkeypatch.setattr(trie, "WINDOW_ROWS", window_rows)
+        for b in (1, 65536):
+            engine = build_tal(ds, b)
+            for q in ([5, top, top, top], [5, top, top, 7], [top, top, top, 0], [5, top, 1, 1]):
+                res, report = engine.query(q, 3)
+                lcps = _profile(ds, q)
+                bucket = lcps[lcps >= engine.bucket_depth]
+                assert res.pairs() == oracle_top_k(ds, q, 3).pairs()[: min(3, bucket.size)]
+                assert report.symbols_compared == int(np.minimum(bucket + 1, 4).sum())
 
 
 def test_bucket_sizes_refuse_too_many_buckets_without_allocating():
@@ -409,7 +434,7 @@ def test_bucket_sizes_refuse_too_many_buckets_without_allocating():
     assert engine.bucket_range([65535, 0, 7]) == (1, 2)
 
 
-def test_long_sequences_answer_with_bounded_scratch():
+def test_long_sequences_answer_with_bounded_scratch(monkeypatch):
     length = 65535
     rng = np.random.default_rng(34)
     base = rng.integers(0, 4, size=length)
@@ -419,6 +444,14 @@ def test_long_sequences_answer_with_bounded_scratch():
     rows[8 + np.arange(152), depths] = (base[depths] + 1) % 4
     ds = Dataset.from_rows(rows, 4)
     engine = build_tal(ds, 16)
+    batches = []
+    search = trie.TrieIndex._prefix_ranges
+
+    def counted(self, *args):
+        batches.append(1)
+        return search(self, *args)
+
+    monkeypatch.setattr(trie.TrieIndex, "_prefix_ranges", counted)
     tracemalloc.start()
     try:
         res, report = engine.query(base, 12)
@@ -429,6 +462,8 @@ def test_long_sequences_answer_with_bounded_scratch():
     assert res.pairs()[:8] == [(i, length) for i in range(8)]
     lcps = _profile(ds, base)
     assert report.symbols_compared == int(np.minimum(lcps + 1, length).sum())
+    # at most one search batch per distinct LCP value in the bucket
+    assert len(batches) <= np.unique(lcps[lcps >= engine.bucket_depth]).size
     # a few search keys at a time: far below one byte per bucket symbol
     # (10 MB here), let alone one key per depth (8.6 GB)
     assert peak < 32 * max(tal.NEEDLE_CHUNK_BYTES, 2 * length)
@@ -437,12 +472,39 @@ def test_long_sequences_answer_with_bounded_scratch():
 def test_trie_and_tal_reject_the_same_queries():
     ds = generate_dataset(40, 6, 4, seed=35)
     index, engine = build(ds), build_tal(ds, 4)
-    for bad in ([0, 1, 2], [[0] * 6], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, -1, 0]):
+    for bad in (
+        [0, 1, 2],
+        [[0] * 6],
+        [0, 1, 2, 3, 4, 4],
+        [0, 1, 2, 3, -1, 0],
+        [0.9, 1.5, 2.2, 3.7, 0.0, 1.0],
+        [True, False, True, False, True, False],
+        ["1", "2", "3", "0", "1", "2"],
+        np.array([0, 1, 2, 3, 0, 1], dtype="m8[s]"),
+    ):
         with pytest.raises(InvalidInputError) as trie_error:
             index.query(bad, 3)
         with pytest.raises(InvalidInputError) as tal_error:
             engine.query(bad, 3)
         assert str(trie_error.value) == str(tal_error.value)
+
+
+def test_result_dtypes_are_the_same_for_empty_and_non_empty_results():
+    rows = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 0], [1, 0, 0]])
+    ds = Dataset.from_rows(rows, 4)
+    empty = build(Dataset.from_rows(np.zeros((0, 3), dtype=np.uint16), 4))
+    engine = build_tal(ds, 4)
+    results = [
+        (index.query([0, 1, 2], 3, mode), hits)
+        for index, hits in ((build(ds), True), (empty, False))
+        for mode in ("strict", "complete")
+    ]
+    # bucket 0 holds rows, bucket 3 none
+    results += [(engine.query([0, 1, 1], 3)[0], True), (engine.query([3, 1, 2], 3)[0], False)]
+    for res, hits in results:
+        assert (res.indices.size > 0) == hits
+        assert res.indices.dtype == np.int32
+        assert res.lcps.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,16 @@ def test_memoized_distinguishes_k_and_mode():
     assert len(cache) == 3
 
 
+def test_memoized_rejects_what_query_rejects():
+    ds = generate_dataset(100, 4, 4, seed=33)
+    index = build(ds)
+    cache = QueryCache()
+    for bad in ([0.9, 1.5, 2.2, 3.7], [True, False, True, False], ["1", "2", "3", "0"], [0, 1, 4, 0]):
+        with pytest.raises(InvalidInputError):
+            memoized_query(index, bad, 2, "complete", cache)
+    assert len(cache) == 0
+
+
 def test_cache_refuses_a_second_index():
     ds = generate_dataset(100, 6, 4, seed=33)
     first, second = build(ds), build(generate_dataset(100, 6, 4, seed=34))
