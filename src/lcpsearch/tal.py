@@ -16,7 +16,8 @@ of which is the bucket.  When the ladder of depths ``L..d`` is no longer than
 the trie's window is wide (at most ``WINDOW_ROWS``; any ``d >= 1`` at
 ``L = 16``), all of its ranges come from one batched binary search over the
 index, two ``searchsorted`` calls in all, which also give the insertion
-point.  Longer ladders read the tiers inside the rows around the insertion
+point.  Longer ladders, and ``d = 0`` (one bucket) as in the trie's strict
+and complete modes, read the tiers inside the rows around the insertion
 point off one compare of at most ``2 * WINDOW_ROWS`` rows, and search the
 rest, the bucket among them.  The top-k is selected tier by tier, as in the
 trie's complete mode.  A query costs O(L log n) per depth searched plus the

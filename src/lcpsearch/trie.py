@@ -34,11 +34,12 @@ symbols.  A range is found by binary search with the query prefix padded
 by 0x0000 (left end) and 0xFFFF (right end), the classic suffix-array
 technique, and the walk has two entries:
 
-- a short ladder, ``L - d0 + 1`` depths no more than the window is wide
-  (``w``, at most ``WINDOW_ROWS``), searches every depth ``L..d0`` in one
-  batch over the whole index; the left end of the depth-``L`` range is the
-  insertion point, so nothing else is searched;
-- a longer one first binary-searches the insertion point, reads off the
+- a short ladder stopped above the root, ``d0 >= 1`` and ``L - d0 + 1``
+  depths no more than the window is wide (``w``, at most ``WINDOW_ROWS``),
+  searches every depth ``L..d0`` in one batch over the whole index; the
+  left end of the depth-``L`` range is the insertion point, so nothing
+  else is searched;
+- any other walk first binary-searches the insertion point, reads off the
   tiers inside the ``2w`` rows around it from one compare of them, and
   searches only the tiers reaching past them.
 
@@ -46,10 +47,11 @@ A query costs ``O(L log n)`` per side per depth searched, plus the rows it
 selects (and on the window entry, the insertion search and the compare);
 its scratch memory stays within a few times
 ``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  Strict and complete queries
-(``d0 = 0``) take the window entry unless ``L < w``.  The TAL engine
-(:mod:`lcpsearch.tal`) is the walk stopped at its bucket depth, so it
-takes the ladder search when that depth is at least ``L + 1 - w`` (any
-depth from 1 at ``L = 16``).
+(``d0 = 0``) always take the window entry: strict uses only the deepest
+tier, which the window usually holds, so searching the whole ladder would
+be wasted.  The TAL engine (:mod:`lcpsearch.tal`) is the walk stopped at
+its bucket depth, so it takes the ladder search when that depth is at
+least ``max(1, L + 1 - w)`` (any depth from 1 at ``L = 16``).
 
 Query semantics
 ---------------
@@ -342,17 +344,26 @@ class TrieIndex:
         row shares ``d0`` symbols; otherwise its last tier is the range of
         rows sharing ``d0`` symbols.
 
-        When the ladder of depths ``L..d0`` is no longer than the window
-        ``w = min(WINDOW_ROWS, NEEDLE_CHUNK_BYTES / 2L)`` is wide, every depth
-        of it is searched in one batch over the whole index: the left end of
-        the depth-``L`` range is ``mid``, and depths no row reaches give empty
-        ranges at ``mid``, which are skipped.  Longer ladders take the window
-        walk of :meth:`_window_tiers`, which locates ``mid`` first.
+        When ``d0 >= 1`` and the ladder of depths ``L..d0`` is no longer than
+        the window ``w = min(WINDOW_ROWS, NEEDLE_CHUNK_BYTES / 2L)`` is wide,
+        every depth of it is searched in one batch over the whole index: the
+        left end of the depth-``L`` range is ``mid``, and depths no row
+        reaches give empty ranges at ``mid``, which are skipped.  Other walks
+        take the window walk of :meth:`_window_tiers`, which locates ``mid``
+        first.  Walks to the root (strict and complete, ``d0 = 0``) stay on
+        the window even when ``L < w``: strict keeps only the deepest tier,
+        which the window usually answers without a search.
+
+        The ladder limit is tied to the window width on purpose, so there is
+        one tuning value: it is a conservative bound below the crossover
+        measured for TAL at about 24 depths (n = 2^18, clustered rows,
+        B = 64), past which the window walk is faster.  A change to
+        ``WINDOW_ROWS`` moves both, and should re-measure both.
         """
         length = self.length
         step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
         w = min(WINDOW_ROWS, step)
-        if length - d0 + 1 <= w:
+        if d0 and length - d0 + 1 <= w:
             depths = np.arange(length, d0 - 1, -1)
             starts, ends = self._prefix_ranges(key, depths, self.n, 0)
             mid = int(starts[0])

@@ -348,9 +348,14 @@ def test_window_tiers_equal_the_tiers_of_every_row(monkeypatch, window_rows, nee
     rng = np.random.default_rng(2026)
     seen = {"read_off_window": 0, "searched": 0, "first_row": 0, "past_last_row": 0,
             "search_first": 0, "window": 0, "search_first_at_w": 0, "window_at_w_plus_1": 0}
+    if window_rows > 1 and needle_bytes > 2:
+        # a walk to the root stays on the window even when L + 1 <= w (w > 1 only)
+        seen["root_walk_within_w"] = 0
     for sigma in (2, 3, 4, 300):
         for length in (1, 2, 5, 11):
-            n = 0 if (sigma, length) == (3, 2) else int(rng.integers(1, 60))
+            # no rows; and two rows, which a one-row-a-side window covers whole
+            fixed = {(3, 2): 0, (4, 5): 2}
+            n = fixed[sigma, length] if (sigma, length) in fixed else int(rng.integers(1, 60))
             ds = Dataset.from_rows(_grid_rows(rng, n, length, sigma), sigma)
             index = build(ds)
             w = min(window_rows, max(1, needle_bytes // (2 * length)))
@@ -370,22 +375,21 @@ def test_window_tiers_equal_the_tiers_of_every_row(monkeypatch, window_rows, nee
                     tiers = list(tiers)
                     assert mid == below
                     assert tiers == _profile_tiers(lcps, d0), (sigma, length, d0, q.tolist())
-                    # the ladder L..d0 is searched at once when the window is as wide
+                    # the ladder L..d0 is searched at once when the window is as
+                    # wide, unless the walk runs to the root
                     ladder = length - d0 + 1
-                    assert bool(compared) == (ladder > w), (ladder, w)
+                    assert bool(compared) == (d0 == 0 or ladder > w), (d0, ladder, w)
                     seen["window" if compared else "search_first"] += 1
-                    seen["search_first_at_w"] += ladder == w
-                    seen["window_at_w_plus_1"] += ladder == w + 1
+                    seen["search_first_at_w"] += d0 > 0 and ladder == w
+                    seen["window_at_w_plus_1"] += d0 > 0 and ladder == w + 1
+                    if d0 == 0 and ladder <= w:
+                        seen["root_walk_within_w"] += 1
                     if tiers:
                         seen["searched" if searched else "read_off_window"] += 1
                 res = index.query(q, n + 5, "complete")
                 assert res.pairs() == oracle_top_k(ds, q, n + 5).pairs()
                 seen["first_row"] += n > 0 and below == 0
                 seen["past_last_row"] += n > 0 and below == n
-    if window_rows == 1 or needle_bytes == 2:
-        # with one row a side, the window alone answers a one-depth walk
-        # (d0 = L), and that walk now takes the ladder search
-        del seen["read_off_window"]
     assert all(count > 0 for count in seen.values()), seen
 
 
@@ -402,7 +406,8 @@ def test_prefix_ranges_at_the_top_of_the_alphabet(monkeypatch):
         [5, top, top, top],
     ])
     ds = Dataset.from_rows(rows, 65536)
-    # one ladder search at the default window; the window walk with one row a side
+    # B = 65536 takes the ladder search at the default window, B = 1 (a walk to
+    # the root) the window walk; with one row a side both take the window walk
     for window_rows in (trie.WINDOW_ROWS, 1):
         monkeypatch.setattr(trie, "WINDOW_ROWS", window_rows)
         for b in (1, 65536):
