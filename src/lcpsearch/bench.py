@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .core import ConfigError, Dataset, InvalidStateError
 from .datagen import generate_dataset, generate_queries
+from .storage import read_index
 from .tal import TalEngine
 from .trie import QueryCache, TrieIndex, build, memoized_query
 from .work import WorkReport, work_reduction
@@ -137,6 +139,12 @@ def memory_wall(n: int, budget_bytes: int = DEFAULT_BUDGET_BYTES, index_bytes: i
 
 @dataclass
 class ScenarioConfig:
+    """A scenario's inputs; construction rejects invalid ones with ConfigError.
+
+    ``index_path`` serves ``sustained`` from a snapshot; every other scenario
+    generates its own dataset and rejects it.
+    """
+
     scenario: str
     seed: int
     n_items: int = 100_000
@@ -155,8 +163,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if self.seed is None:
-            raise ConfigError("seed is mandatory: every run must be replayable")
+        if self.seed is None or self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 (every run must be replayable), got {self.seed}")
         positives = {
             "n_items": self.n_items,
             "seq_len": self.seq_len,
@@ -168,12 +176,17 @@ class ScenarioConfig:
         for name, value in positives.items():
             if int(value) < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
+        if self.duration_s is not None and not (0 < self.duration_s < math.inf):
+            raise ConfigError(f"duration_s must be positive and finite, got {self.duration_s}")
         if self.mode not in ("strict", "complete"):
             raise ConfigError(f"mode must be strict or complete, got {self.mode!r}")
-        if any(int(b) < 1 for b in self.bucket_counts):
-            raise ConfigError("bucket counts must be positive")
+        if not self.bucket_counts or any(int(b) < 1 for b in self.bucket_counts):
+            raise ConfigError(f"bucket counts must be positive, got {self.bucket_counts}")
+        if self.index_path is not None and self.scenario != "sustained":
+            raise ConfigError(
+                f"index_path is for the sustained scenario only; {self.scenario} "
+                "generates its own dataset"
+            )
         if self.index_path is not None and self.prefix_len is not None:
             raise ConfigError("prefix_len queries need the raw dataset, not a loaded index")
 
@@ -241,37 +254,43 @@ def _render_kv(data: dict, prefix: str = "") -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _query_stream(
-    index: TrieIndex, queries: np.ndarray, k: int, mode: str, deadline: float | None = None
-) -> tuple[WorkReport, list[float], float]:
-    """Work, latencies and elapsed time of the queries run once, or cycled until ``deadline``."""
-    report = index.new_work_report()
+    answer, queries: np.ndarray, duration_s: float | None = None
+) -> tuple[list[float], float]:
+    """Latencies and elapsed time of ``answer`` over ``queries``, once or cycled for ``duration_s``.
+
+    The clock starts where the deadline is set, so a timed run never reports
+    less than ``duration_s``.
+    """
     latencies: list[float] = []
     t_start = time.perf_counter()
+    deadline = None if duration_s is None else t_start + duration_s
     for q in queries if deadline is None else itertools.cycle(queries):
         t0 = time.perf_counter()
         if deadline is not None and t0 >= deadline:
             break
-        index.query(q, k, mode, work=report)
+        answer(q)
         latencies.append(time.perf_counter() - t0)
-    return report, latencies, time.perf_counter() - t_start
+    return latencies, time.perf_counter() - t_start
 
 
-def _determinism_check(run_bytes, count: int) -> dict:
+def _determinism_check(run_bytes, queries: np.ndarray) -> dict:
     """Re-run a 1% sample of queries twice and byte-compare the results."""
-    sample = list(range(0, count, 100)) or ([0] if count else [])
-    ok = all(run_bytes(i) == run_bytes(i) for i in sample)
+    sample = queries[::100]
+    ok = all(run_bytes(q) == run_bytes(q) for q in sample)
     return {"sampled_queries": len(sample), "byte_identical": bool(ok)}
 
 
-def _load_or_build_index(config: ScenarioConfig) -> tuple[TrieIndex, Dataset | None]:
+def _load_or_build_index(config: ScenarioConfig) -> tuple[TrieIndex, Dataset]:
+    """The index and the dataset its queries are drawn from.
+
+    A loaded snapshot comes with an empty dataset of the snapshot's shape.
+    """
     if config.index_path is not None:
-        import os
-
-        from .storage import read_index
-
         if not os.path.exists(config.index_path):
             raise InvalidStateError(f"index snapshot not found: {config.index_path}")
-        return read_index(config.index_path), None
+        index = read_index(config.index_path)
+        empty = np.zeros((0, index.length), dtype=np.uint16)
+        return index, Dataset.from_rows(empty, index.sigma)
     dataset = generate_dataset(
         config.n_items, config.seq_len, config.alphabet, config.seed, config.distribution
     )
@@ -280,27 +299,16 @@ def _load_or_build_index(config: ScenarioConfig) -> tuple[TrieIndex, Dataset | N
 
 def _scenario_sustained(config: ScenarioConfig) -> ScenarioReport:
     index, dataset = _load_or_build_index(config)
-    meta = dataset if dataset is not None else index
-    qseed = config.seed + 1
-    if dataset is not None:
-        queries = generate_queries(dataset, config.query_count, qseed, config.prefix_len)
-    else:
-        queries = generate_queries(
-            Dataset.from_rows(np.zeros((0, index.length), dtype=np.uint16), index.sigma),
-            config.query_count,
-            qseed,
-        )
-
-    deadline = None if config.duration_s is None else time.perf_counter() + config.duration_s
-    work, lats, elapsed = _query_stream(index, queries, config.k, config.mode, deadline)
-    stats = LatencyStats.from_samples(lats, elapsed)
-    det = _determinism_check(
-        lambda i: index.query(queries[i % len(queries)], config.k, config.mode).to_bytes(),
-        len(queries),
+    queries = generate_queries(dataset, config.query_count, config.seed + 1, config.prefix_len)
+    work = index.new_work_report()
+    lats, elapsed = _query_stream(
+        lambda q: index.query(q, config.k, config.mode, work=work), queries, config.duration_s
     )
+    stats = LatencyStats.from_samples(lats, elapsed)
+    det = _determinism_check(lambda q: index.query(q, config.k, config.mode).to_bytes(), queries)
     results: dict = {"determinism": det, "index_nodes": index.node_count, "index_bytes": index.nbytes}
     wall: dict = {"latency": stats.as_dict(), "elapsed_s": elapsed}
-    target = results if deadline is None else wall
+    target = results if config.duration_s is None else wall
     target["work"] = work.as_dict()
     target["energy_work_units_per_query"] = work.energy_work_units / max(1, work.queries)
     return ScenarioReport("sustained", config.as_dict(), results, wall)
@@ -310,17 +318,14 @@ def _scenario_gnc(config: ScenarioConfig) -> ScenarioReport:
     # Historical patterns are pre-generated and static for the whole run; each
     # simulation step issues one top-k query for the current sensor reading.
     index, dataset = _load_or_build_index(config)
-    if dataset is None:
-        raise ConfigError("gnc scenario generates its own history; remove index_path")
     readings = generate_queries(dataset, config.steps, config.seed + 1, config.prefix_len)
-
-    work, lats, elapsed = _query_stream(index, readings, config.k, config.mode)
+    work = index.new_work_report()
+    lats, elapsed = _query_stream(
+        lambda q: index.query(q, config.k, config.mode, work=work), readings
+    )
     stats = LatencyStats.from_samples(lats, elapsed)
 
-    det = _determinism_check(
-        lambda i: index.query(readings[i], config.k, config.mode).to_bytes(),
-        config.steps,
-    )
+    det = _determinism_check(lambda q: index.query(q, config.k, config.mode).to_bytes(), readings)
     results = {
         "steps": config.steps,
         "work": work.as_dict(),
@@ -336,28 +341,20 @@ def _scenario_gnc(config: ScenarioConfig) -> ScenarioReport:
 
 
 def _scenario_tal_sweep(config: ScenarioConfig) -> ScenarioReport:
-    dataset = generate_dataset(
-        config.n_items, config.seq_len, config.alphabet, config.seed, config.distribution
-    )
+    index, dataset = _load_or_build_index(config)  # one sort serves every rung
     queries = generate_queries(dataset, config.query_count, config.seed + 1, config.prefix_len)
 
-    index = build(dataset)  # one sort serves every bucket count
-    baseline = TalEngine(index, 1)
-    base_work = baseline.new_work_report()
-    t0 = time.perf_counter()
-    for q in queries:
-        baseline.query(q, config.k, work=base_work)
-    base_elapsed = time.perf_counter() - t0
+    def rung(bucket_count: int) -> tuple[TalEngine, WorkReport, float]:
+        engine = TalEngine(index, bucket_count)
+        work = engine.new_work_report()
+        _, elapsed = _query_stream(lambda q: engine.query(q, config.k, work=work), queries)
+        return engine, work, elapsed
 
+    _, base_work, base_elapsed = rung(1)
     rows = []
     wall_rows = []
     for b in config.bucket_counts:
-        engine = TalEngine(index, int(b))
-        work = engine.new_work_report()
-        ts = time.perf_counter()
-        for q in queries:
-            engine.query(q, config.k, work=work)
-        b_elapsed = time.perf_counter() - ts
+        engine, work, b_elapsed = rung(int(b))
         red = work_reduction(base_work, work)
         rows.append(
             {
@@ -371,11 +368,7 @@ def _scenario_tal_sweep(config: ScenarioConfig) -> ScenarioReport:
         )
         wall_rows.append({"bucket_count": int(b), "elapsed_s": b_elapsed})
 
-    sample_engine = TalEngine(index, int(config.bucket_counts[-1]))
-    det = _determinism_check(
-        lambda i: sample_engine.query(queries[i], config.k)[0].to_bytes(),
-        len(queries),
-    )
+    det = _determinism_check(lambda q: engine.query(q, config.k)[0].to_bytes(), queries)
     results = {
         "baseline_work": base_work.as_dict(),
         "sweep": rows,
@@ -387,24 +380,22 @@ def _scenario_tal_sweep(config: ScenarioConfig) -> ScenarioReport:
 
 def _scenario_memo(config: ScenarioConfig) -> ScenarioReport:
     index, dataset = _load_or_build_index(config)
-    if dataset is None:
-        raise ConfigError("memo scenario generates its own dataset; remove index_path")
     queries = generate_queries(dataset, config.query_count, config.seed + 1, config.prefix_len)
     cache = QueryCache()
 
-    cold_work = index.new_work_report()
-    t0 = time.perf_counter()
-    cold = [
-        memoized_query(index, q, config.k, config.mode, cache, work=cold_work) for q in queries
-    ]
-    cold_elapsed = time.perf_counter() - t0
+    def memo_pass() -> tuple[list, WorkReport, float]:
+        answers: list = []
+        work = index.new_work_report()
+        _, elapsed = _query_stream(
+            lambda q: answers.append(
+                memoized_query(index, q, config.k, config.mode, cache, work=work)
+            ),
+            queries,
+        )
+        return answers, work, elapsed
 
-    hot_work = index.new_work_report()
-    t1 = time.perf_counter()
-    hot = [
-        memoized_query(index, q, config.k, config.mode, cache, work=hot_work) for q in queries
-    ]
-    hot_elapsed = time.perf_counter() - t1
+    cold, cold_work, cold_elapsed = memo_pass()
+    hot, hot_work, hot_elapsed = memo_pass()
 
     identical = all(a.to_bytes() == b.to_bytes() for a, b in zip(cold, hot))
     results = {

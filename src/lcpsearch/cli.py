@@ -18,6 +18,7 @@ inputs, flags, and seeds; only wall-clock fields in reports vary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -133,14 +134,23 @@ def cmd_query(args) -> int:
         if not args.dataset:
             raise ConfigError("--verify-oracle needs --dataset to rescan the raw rows")
         dataset = _load_dataset(args.dataset, args.text)
+        # a mismatch must mean a bug, so the oracle may only rescan the indexed rows
+        rebuilt = build(dataset)
+        if not (
+            rebuilt.sigma == index.sigma
+            and np.array_equal(rebuilt.rows, index.rows)
+            and np.array_equal(rebuilt.order, index.order)
+        ):
+            raise InvalidInputError(
+                f"dataset {args.dataset} is not the dataset {args.index} was built from"
+            )
 
     all_ok = True
     for i, symbols in enumerate(queries):
-        if len(symbols) != index.length:
-            raise InvalidInputError(
-                f"query {i}: length {len(symbols)} != index length {index.length}"
-            )
-        result = index.query(np.asarray(symbols, dtype=np.uint16), args.k, args.mode)
+        try:
+            result = index.query(symbols, args.k, args.mode)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"query {i}: {exc}") from None
         if args.format == "machine":
             print(result.to_bytes().hex())
         else:
@@ -162,30 +172,19 @@ def cmd_query(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
+# Upstream spellings of ScenarioConfig fields; every field is also accepted
+# under its own name.
 _CONFIG_ALIASES = {
     "n_candidates": "n_items",
-    "n_items": "n_items",
     "max_len": "seq_len",
-    "seq_len": "seq_len",
     "sigma": "alphabet",
-    "alphabet": "alphabet",
-    "prefix_len": "prefix_len",
     "run_seconds_target": "duration_s",
-    "duration_s": "duration_s",
     "queries": "query_count",
-    "query_count": "query_count",
     "simulation_steps": "steps",
-    "steps": "steps",
     "bucket_count": "bucket_counts",
-    "bucket_counts": "bucket_counts",
-    "k": "k",
-    "seed": "seed",
-    "mode": "mode",
-    "distribution": "distribution",
-    "scenario": "scenario",
-    "index_path": "index_path",
     "index": "index_path",
 }
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 # Keys that appear in upstream-style configs but describe hardware measurement
 # we do not model, or the removed ``workers`` thread count (one thread served
@@ -203,8 +202,6 @@ def _parse_config_value(key: str, raw: str):
         return text
     if key == "duration_s":
         return float(text.replace(",", ""))
-    if key == "prefix_len":
-        return int(text.replace(",", ""))
     return int(text.replace(",", ""))
 
 
@@ -224,10 +221,10 @@ def parse_scenario_config(path: str) -> ScenarioConfig:
             key = key.strip()
             if key in _CONFIG_IGNORED:
                 continue
-            if key not in _CONFIG_ALIASES:
+            canonical = _CONFIG_ALIASES.get(key, key)
+            if canonical not in _CONFIG_FIELDS:
                 print(f"warning: {path}:{lineno}: ignoring unknown key {key!r}", file=sys.stderr)
                 continue
-            canonical = _CONFIG_ALIASES[key]
             if canonical == "mode" and raw.strip() not in ("strict", "complete"):
                 # upstream configs use 'mode' for the execution backend name
                 continue
@@ -250,8 +247,7 @@ def parse_scenario_config(path: str) -> ScenarioConfig:
 def cmd_bench(args) -> int:
     config = parse_scenario_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
-    config.__post_init__()
+        config = dataclasses.replace(config, seed=args.seed)
     report = run_scenario(config)
 
     out_base = args.out or os.path.splitext(args.config)[0] + ".report"

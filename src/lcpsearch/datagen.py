@@ -8,8 +8,8 @@ recreated from its (parameters, seed) pair alone.
 Two row distributions are provided.  ``uniform`` draws every symbol
 independently.  ``clustered`` draws the first few symbols from a skewed
 power-law distribution over the alphabet (symbol ``v`` with weight
-``(v + 1) ** -exponent``), which concentrates items into few prefix buckets
-and is the stress case for bucketed scans.
+``(v + 1) ** -SKEW_EXPONENT``), which concentrates items into few prefix
+buckets and is the stress case for bucketed scans.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ import numpy as np
 from .core import SYMBOL_DTYPE, Alphabet, Dataset, InvalidInputError
 
 _MAX_ENUMERABLE_BITS = 62
+
+# ``clustered`` rows draw their first SKEW_DEPTH symbols from the power law.
+SKEW_EXPONENT = 1.1
+SKEW_DEPTH = 8
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -47,8 +51,6 @@ def generate_dataset(
     distribution: str = "uniform",
     *,
     distinct: bool = False,
-    skew_exponent: float = 1.1,
-    skew_depth: int = 8,
 ) -> Dataset:
     """Deterministically generate ``n`` rows of ``length`` symbols over ``sigma``.
 
@@ -71,16 +73,16 @@ def generate_dataset(
     if distinct:
         rows = _generate_distinct(rng, n, length, sigma, universe)
     else:
-        rows = _draw_rows(rng, n, length, sigma, distribution, skew_exponent, skew_depth)
+        rows = _draw_rows(rng, n, length, sigma, distribution)
     rows.setflags(write=False)
     return Dataset(alphabet=alphabet, length=length, items=rows)
 
 
-def _draw_rows(rng, n, length, sigma, distribution, skew_exponent, skew_depth):
+def _draw_rows(rng, n, length, sigma, distribution):
     rows = rng.integers(0, sigma, size=(n, length), dtype=SYMBOL_DTYPE)
     if distribution == "clustered" and n > 0:
-        head = min(skew_depth, length)
-        weights = _power_law_weights(sigma, skew_exponent)
+        head = min(SKEW_DEPTH, length)
+        weights = _power_law_weights(sigma, SKEW_EXPONENT)
         skewed = rng.choice(sigma, size=(n, head), p=weights)
         rows[:, :head] = skewed.astype(SYMBOL_DTYPE)
     return rows

@@ -22,7 +22,7 @@ point off one compare of at most ``2 * WINDOW_ROWS`` rows, and search the
 rest, the bucket among them.  The top-k is selected tier by tier, as in the
 trie's complete mode.  A query costs O(L log n) per depth searched plus the
 rows it selects, and its scratch memory stays within a few times
-``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the bucket size.
+``max(trie.NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the bucket size.
 :meth:`TalEngine.bucket_range` searches the bucket's depth alone.
 
 The work units still model a scan of the whole bucket: ``items_scanned`` is
@@ -41,7 +41,6 @@ import numpy as np
 
 from .core import Dataset, InvalidInputError, validate_query
 from .trie import QueryResult, TrieIndex, build
-from .trie import NEEDLE_CHUNK_BYTES  # noqa: F401  (the scratch bound named above)
 from .work import WorkReport
 
 # bucket_sizes() lists at most this many buckets (8 bytes each).
@@ -78,7 +77,6 @@ class TalEngine:
         self.length = length
         self.sigma = sigma
         self.bucket_depth = depth
-        self.requested_buckets = bucket_count
         self.bucket_count = sigma**depth
         self.c_sym = index.c_sym
 

@@ -470,11 +470,17 @@ class TrieIndex:
         ``work`` report is supplied, descent comparisons and visited nodes
         are accumulated into it.
         """
+        return self._query_key(validate_query(q, self.length, self.sigma), k, mode, work)
+
+    def _query_key(
+        self, key: np.ndarray, k: int, mode: str, work: WorkReport | None
+    ) -> QueryResult:
+        """:meth:`query` for a key ``validate_query`` has already returned."""
         if mode not in ("strict", "complete"):
             raise InvalidInputError(f"mode must be 'strict' or 'complete', got {mode!r}")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        mid, tiers = self._tiers(validate_query(q, self.length, self.sigma), 0)
+        mid, tiers = self._tiers(key, 0)
         if mode == "strict":
             tiers = itertools.islice(tiers, 1)
         indices, lcps = self._select(tiers, mid, min(k, self.n))
@@ -582,5 +588,4 @@ def memoized_query(
             work.cache_hits += 1
             work.queries += 1
         return cached
-    result = index.query(query, k, mode, work=work)
-    return cache.insert(key, result)
+    return cache.insert(key, index._query_key(query, k, mode, work))

@@ -1,13 +1,15 @@
 """Latency statistics, the memory wall, and scenario runs at toy sizes."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from lcpsearch import ScenarioConfig, memory_wall, run_scenario
+from lcpsearch import ScenarioConfig, build, generate_dataset, memory_wall, run_scenario
 from lcpsearch.bench import GIB, LatencyStats, format_byte_size
 from lcpsearch.core import ConfigError
+from lcpsearch.storage import write_index
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +89,16 @@ def test_config_rejects_bad_values():
         ScenarioConfig(scenario="sustained", seed=1, mode="fast")
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="sustained", seed=1, duration_s=-2.0)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(scenario="sustained", seed=-1)
+    for duration in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(scenario="sustained", seed=1, duration_s=duration)
+    for scenario in ("gnc", "memo", "tal_sweep"):
+        with pytest.raises(ConfigError, match="index_path"):
+            ScenarioConfig(scenario=scenario, seed=1, index_path="index.lcpi")
+    with pytest.raises(ConfigError):
+        ScenarioConfig(scenario="tal_sweep", seed=1, bucket_counts=())
 
 
 # ---------------------------------------------------------------------------
@@ -177,3 +189,43 @@ def test_duration_mode_runs_until_deadline():
     assert report["wall_clock"]["work"]["queries"] > 0
     assert report["wall_clock"]["elapsed_s"] >= 0.2
     assert not math.isnan(report["wall_clock"]["latency"]["p50_ms"])
+
+
+# ---------------------------------------------------------------------------
+# results pinned by SHA-256 (any change to what a scenario reports changes one)
+# ---------------------------------------------------------------------------
+
+RESULT_PINS = {
+    "sustained-uniform": "eceb6e3e7cdd383fa253f83497758e1ff00ac1be1ae9ca08fd9bcc815a332b9b",
+    "sustained-strict-prefix": "967ef9179184109c1d5d43d0a29f61f7c833e9ab3f45f3cdd635579b652949d1",
+    "sustained-snapshot": "134da9b81e6384bbcfb033715a7af7510bfbadd49acad357360d6c8f878de392",
+    "gnc": "dc1266a2f9e8e8d9982c2083de771b2b9bf964cb07c79fa3cddd26ea448c0b02",
+    "tal_sweep": "d3edff8da2912c91e122f23c6e2beabb1c09555bc5f44dbd0a003af119b658d6",
+    "memo": "3bdf6604d9b816c69ca8d485d2012ff2231a174dd5f5d7b80542f8cf26c180e5",
+}
+
+
+def _pinned_config(name, tmp_path):
+    shape = dict(seed=17, n_items=2048, seq_len=16, alphabet=4, k=10, query_count=300)
+    if name == "sustained-uniform":
+        return ScenarioConfig(scenario="sustained", **shape)
+    if name == "sustained-strict-prefix":
+        return ScenarioConfig(scenario="sustained", mode="strict", prefix_len=9,
+                              distribution="clustered", **shape)
+    if name == "sustained-snapshot":
+        path = str(tmp_path / "pinned.lcpi")
+        write_index(path, build(generate_dataset(2048, 16, 4, seed=18)))
+        return ScenarioConfig(scenario="sustained", index_path=path, **shape)
+    if name == "gnc":
+        return ScenarioConfig(scenario="gnc", steps=250, prefix_len=6, **shape)
+    if name == "tal_sweep":
+        return ScenarioConfig(scenario="tal_sweep", bucket_counts=(1, 4, 16, 64), prefix_len=5,
+                              distribution="clustered", **shape)
+    return ScenarioConfig(scenario="memo", prefix_len=12, **shape)
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_PINS))
+def test_scenario_results_are_pinned(name, tmp_path):
+    results = run_scenario(_pinned_config(name, tmp_path)).to_machine()["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == RESULT_PINS[name]

@@ -102,6 +102,11 @@ def test_query_length_mismatch_reports_both(dataset_file, tmp_path, capsys):
     code, _, err = run(capsys, "query", out_path, "--query", "0 1 2")
     assert code == 3
     assert "3" in err and "6" in err
+    # symbols outside the alphabet, and outside uint16, are data errors too
+    for literal in ("70000 0 0 0 0 0", "-1 0 0 0 0 0"):
+        code, _, err = run(capsys, "query", out_path, "--query", literal)
+        assert code == 3
+        assert "query 0" in err and "out of range" in err
 
 
 def test_query_verify_oracle_prints_ok(dataset_file, tmp_path, capsys):
@@ -115,6 +120,23 @@ def test_query_verify_oracle_prints_ok(dataset_file, tmp_path, capsys):
     )
     assert code == 0
     assert out.rstrip().endswith("OK")
+
+
+def test_query_verify_oracle_against_another_dataset_is_data_error(tmp_path, capsys):
+    # same shape, other rows: the oracle must not report a mismatch (exit 4)
+    paths = []
+    for seed in (1, 2):
+        paths.append(str(tmp_path / f"data{seed}.lcpd"))
+        write_dataset(paths[-1], generate_dataset(120, 6, 4, seed=seed))
+    out_path = str(tmp_path / "index.lcpi")
+    run(capsys, "build", paths[0], "-o", out_path)
+    code, out, err = run(
+        capsys, "query", out_path, "--query", "0 1 2 3 0 1",
+        "--verify-oracle", "--dataset", paths[1],
+    )
+    assert code == 3
+    assert "data2.lcpd" in err
+    assert "MISMATCH" not in out
 
 
 def test_query_machine_format_is_hex(dataset_file, tmp_path, capsys):
@@ -210,6 +232,14 @@ def test_bench_unknown_scenario_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "bench", str(config))
     assert code == 2
     assert "hyperdrive" in err
+
+
+def test_bench_negative_seed_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_text("scenario: sustained\nn_items: 200\nmax_len: 8\nqueries: 20\nseed: 3\n")
+    code, _, err = run(capsys, "bench", str(config), "--seed", "-5")
+    assert code == 2
+    assert "seed" in err
 
 
 def test_bench_malformed_line_names_it(tmp_path, capsys):

@@ -19,7 +19,7 @@ from lcpsearch import (
     oracle_top_k,
     work_reduction,
 )
-from lcpsearch import tal, trie
+from lcpsearch import trie
 from lcpsearch.core import validate_query
 
 
@@ -471,7 +471,7 @@ def test_long_sequences_answer_with_bounded_scratch(monkeypatch):
     assert len(batches) <= np.unique(lcps[lcps >= engine.bucket_depth]).size
     # a few search keys at a time: far below one byte per bucket symbol
     # (10 MB here), let alone one key per depth (8.6 GB)
-    assert peak < 32 * max(tal.NEEDLE_CHUNK_BYTES, 2 * length)
+    assert peak < 32 * max(trie.NEEDLE_CHUNK_BYTES, 2 * length)
 
 
 def test_trie_and_tal_reject_the_same_queries():

@@ -18,6 +18,7 @@ from lcpsearch import (
     memoized_query,
     oracle_top_k,
 )
+from lcpsearch import trie
 
 
 def small(rows, sigma=4):
@@ -358,6 +359,24 @@ def test_memoized_rejects_what_query_rejects():
         with pytest.raises(InvalidInputError):
             memoized_query(index, bad, 2, "complete", cache)
     assert len(cache) == 0
+
+
+def test_memoized_validates_each_query_once(monkeypatch):
+    ds = generate_dataset(100, 4, 4, seed=33)
+    index = build(ds)
+    cache = QueryCache()
+    calls = []
+    real = trie.validate_query
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trie, "validate_query", counting)
+    memoized_query(index, ds.items[0], 2, "complete", cache)
+    assert (len(calls), cache.misses) == (1, 1)
+    memoized_query(index, ds.items[0], 2, "complete", cache)
+    assert (len(calls), cache.hits) == (2, 1)
 
 
 def test_cache_refuses_a_second_index():
