@@ -311,7 +311,13 @@ def _scenario_sustained(config: ScenarioConfig) -> ScenarioReport:
     target = results if config.duration_s is None else wall
     target["work"] = work.as_dict()
     target["energy_work_units_per_query"] = work.energy_work_units / max(1, work.queries)
-    return ScenarioReport("sustained", config.as_dict(), results, wall)
+    echoed = config.as_dict()
+    if config.index_path is not None:
+        # the served shape is the snapshot's own; a snapshot records no distribution
+        echoed.update(
+            n_items=index.n, seq_len=index.length, alphabet=index.sigma, distribution=None
+        )
+    return ScenarioReport("sustained", echoed, results, wall)
 
 
 def _scenario_gnc(config: ScenarioConfig) -> ScenarioReport:

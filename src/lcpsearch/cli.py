@@ -138,7 +138,7 @@ def cmd_query(args) -> int:
         rebuilt = build(dataset)
         if not (
             rebuilt.sigma == index.sigma
-            and np.array_equal(rebuilt.rows, index.rows)
+            and np.array_equal(rebuilt.keys, index.keys)
             and np.array_equal(rebuilt.order, index.order)
         ):
             raise InvalidInputError(

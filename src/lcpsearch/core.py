@@ -169,8 +169,8 @@ def ultrametric_distance(s, t) -> int:
 def validate_query(q, length: int, sigma: int) -> np.ndarray:
     """Check a query against an index's length and alphabet; return its key.
 
-    The key is a new big-endian (``>u2``) array, the form the index's rows
-    are searched in.  Shared by every query engine, so all of them reject the
+    The key is a new big-endian (``>u2``) array: its bytes key the query
+    cache, and the index packs it like its rows.  Shared by every query engine, so all of them reject the
     same inputs with the same :class:`InvalidInputError` messages.
     """
     arr = np.asarray(q)
@@ -185,14 +185,15 @@ def validate_query(q, length: int, sigma: int) -> np.ndarray:
     return arr.astype(">u2")
 
 
-def memcmp_keys(be_rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a C-contiguous big-endian (``>u2``) array.
+def memcmp_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a C-contiguous 2-D array, comparing as the row's bytes.
 
     The keys are a view, not a copy.  numpy compares them bytewise, which for
-    big-endian unsigned symbols is exactly the lexicographic row order, so
+    big-endian unsigned rows (``>u2`` symbols, or the packed keys of
+    :mod:`lcpsearch.trie`) is exactly the lexicographic row order, so
     ``argsort`` and ``searchsorted`` work on them directly.
     """
-    return be_rows.view(np.dtype((np.void, be_rows.shape[1] * 2))).ravel()
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def lexicographic_order(rows: np.ndarray) -> np.ndarray:

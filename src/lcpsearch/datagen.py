@@ -23,6 +23,8 @@ _MAX_ENUMERABLE_BITS = 62
 # ``clustered`` rows draw their first SKEW_DEPTH symbols from the power law.
 SKEW_EXPONENT = 1.1
 SKEW_DEPTH = 8
+# ``clustered`` head symbols are drawn this many rows at a time.
+CLUSTERED_CHUNK_ROWS = 1 << 15
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -83,8 +85,12 @@ def _draw_rows(rng, n, length, sigma, distribution):
     if distribution == "clustered" and n > 0:
         head = min(SKEW_DEPTH, length)
         weights = _power_law_weights(sigma, SKEW_EXPONENT)
-        skewed = rng.choice(sigma, size=(n, head), p=weights)
-        rows[:, :head] = skewed.astype(SYMBOL_DTYPE)
+        # one draw per symbol, consumed in row order, so the chunks read the
+        # same stream as one draw would while holding float64 and int64
+        # temporaries for CLUSTERED_CHUNK_ROWS rows only
+        for i in range(0, n, CLUSTERED_CHUNK_ROWS):
+            part = rows[i : i + CLUSTERED_CHUNK_ROWS, :head]
+            part[...] = rng.choice(sigma, size=part.shape, p=weights)
     return rows
 
 

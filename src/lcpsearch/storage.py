@@ -10,21 +10,28 @@ Dataset file (magic ``LCPD``, version 1)::
     n:u64 length:u32 sigma:u32
     symbols: n * length * u16 little-endian, row-major
 
-Index snapshot (magic ``LCPI``, version 2) is the index's own two arrays::
+Index snapshot (magic ``LCPI``, version 3) is the index's own two arrays::
 
     magic[4] version:u16 n:u64 length:u32 sigma:u32      (22 bytes)
-    rows:  n * length * u16 big-endian, the sorted rows, row-major
+    pad:   0-3 zero bytes, so that ``order`` starts at a multiple of 4
+    keys:  n * W bytes, the sorted rows packed at b bits per symbol
     order: n * i32 little-endian, the item index of each row
     crc:   u32 little-endian, CRC32 of every byte before it
 
-A snapshot is accepted only when the header is valid (version 2,
+Here ``b = max(1, bit_length(sigma - 1))`` and ``W = ceil(length * b / 8)``:
+each key holds its row's symbols as ``b``-bit fields, most significant bit
+first, zero-padded (:func:`lcpsearch.trie.symbol_bits`).  At ``sigma = 65536``
+a key is the row as big-endian u16.
+
+A snapshot is accepted only when the header is valid (version 3,
 ``n < 2^31``, ``1 <= length <= 65535``, ``2 <= sigma <= 65536``), the file
-has exactly the size ``n`` and ``length`` imply, the CRC matches, and the
-arrays pass :func:`lcpsearch.trie.layout_defect` (symbols below ``sigma``,
-``order`` a permutation of ``[0, n)``, rows in stable lexicographic order).
-No byte is free, so an accepted file is the unique encoding of its index.
-Version 1 files (one record per trie node) are refused; rebuild them from
-their dataset.
+has exactly the size ``n``, ``length`` and ``sigma`` imply, the CRC matches,
+the pad bytes are zero, and the arrays pass
+:func:`lcpsearch.trie.layout_defect` (zero key padding, symbols below
+``sigma``, ``order`` a permutation of ``[0, n)``, keys in stable
+lexicographic order).  No byte is free, so an accepted file is the unique
+encoding of its index.  Version 1 (one record per trie node) and version 2
+(unpacked ``>u2`` rows) files are refused; rebuild them from their dataset.
 
 Text ingestion maps whitespace-separated tokens to integer ids in
 first-occurrence order and emits the vocabulary alongside, one token per
@@ -49,12 +56,12 @@ from .core import (
     Dataset,
     InvalidInputError,
 )
-from .trie import TrieIndex, layout_defect
+from .trie import TrieIndex, key_width, layout_defect, symbol_bits
 
 DATASET_MAGIC = b"LCPD"
 DATASET_VERSION = 1
 INDEX_MAGIC = b"LCPI"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 _DATASET_HEADER = struct.Struct("<4sHBBQII")
 _INDEX_HEADER = struct.Struct("<4sHQII")
@@ -167,16 +174,22 @@ def read_vocab(path: str) -> dict[str, int]:
 # Index snapshots
 # ---------------------------------------------------------------------------
 
+def _order_offset(n: int, width: int) -> int:
+    """Where ``order`` starts: after the header, its pad and the keys, at a multiple of 4."""
+    return _INDEX_HEADER.size + (-(_INDEX_HEADER.size + n * width) % 4) + n * width
+
+
 def index_snapshot_bytes(index: TrieIndex) -> bytes:
-    """Serialize a built index: its header, rows, permutation and CRC32.
+    """Serialize a built index: its header, keys, permutation and CRC32.
 
     Byte-identical for identical datasets, since both arrays are.
     """
     header = _INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, index.n, index.length, index.sigma)
-    rows = np.ascontiguousarray(index.rows, dtype=">u2")
+    keys = np.ascontiguousarray(index.keys)
+    pad = bytes(_order_offset(index.n, keys.shape[1]) - len(header) - keys.nbytes)
     order = np.ascontiguousarray(index.order, dtype="<i4")
-    crc = zlib.crc32(order, zlib.crc32(rows, zlib.crc32(header)))
-    return b"".join((header, rows, order, _CRC.pack(crc)))
+    crc = zlib.crc32(order, zlib.crc32(keys, zlib.crc32(header + pad)))
+    return b"".join((header, pad, keys, order, _CRC.pack(crc)))
 
 
 def write_index(path: str, index: TrieIndex) -> int:
@@ -197,8 +210,8 @@ def index_from_snapshot_bytes(raw: bytes, name: str = "<bytes>") -> TrieIndex:
 
     Every other input raises :class:`InvalidInputError`.  The header is
     checked first, then the exact size it implies (before anything is
-    allocated), then the CRC; the two arrays are copied out and must pass
-    :func:`lcpsearch.trie.layout_defect`.
+    allocated), then the CRC and the pad; the two arrays are copied out and
+    must pass :func:`lcpsearch.trie.layout_defect`.
     """
     if len(raw) < _INDEX_HEADER.size:
         raise InvalidInputError(f"{name}: truncated index header")
@@ -218,7 +231,9 @@ def index_from_snapshot_bytes(raw: bytes, name: str = "<bytes>") -> TrieIndex:
         raise InvalidInputError(
             f"{name}: alphabet size {sigma} outside [{MIN_ALPHABET}, {MAX_ALPHABET}]"
         )
-    order_at = _INDEX_HEADER.size + 2 * n * length
+    width = key_width(length, symbol_bits(sigma))
+    order_at = _order_offset(n, width)
+    keys_at = order_at - n * width
     crc_at = order_at + 4 * n
     if len(raw) != crc_at + _CRC.size:
         raise InvalidInputError(
@@ -226,9 +241,11 @@ def index_from_snapshot_bytes(raw: bytes, name: str = "<bytes>") -> TrieIndex:
         )
     if zlib.crc32(memoryview(raw)[:crc_at]) != _CRC.unpack_from(raw, crc_at)[0]:
         raise InvalidInputError(f"{name}: CRC mismatch")
-    rows = np.frombuffer(raw, ">u2", n * length, _INDEX_HEADER.size).reshape(n, length).copy()
+    if any(raw[_INDEX_HEADER.size : keys_at]):
+        raise InvalidInputError(f"{name}: nonzero header pad")
+    keys = np.frombuffer(raw, np.uint8, n * width, keys_at).reshape(n, width).copy()
     order = np.frombuffer(raw, "<i4", n, order_at).astype(np.int32)
-    defect = layout_defect(rows, order, sigma)
+    defect = layout_defect(keys, order, sigma, length)
     if defect is not None:
         raise InvalidInputError(f"{name}: {defect}")
-    return TrieIndex(sigma=sigma, rows=rows, order=order)
+    return TrieIndex(sigma=sigma, length=length, keys=keys, order=order)

@@ -1,6 +1,6 @@
 """TAL: bucketed range-scan query execution over a prefix-sorted array.
 
-The engine serves from the sorted rows of a :class:`~lcpsearch.trie.TrieIndex`
+The engine serves from the sorted, packed rows of a :class:`~lcpsearch.trie.TrieIndex`
 (stable lexicographic order; ties keep item order), partitioned into
 ``sigma**d`` buckets by the first ``d`` symbols, where ``d`` is the smallest
 depth giving at least the requested bucket count.  It stores nothing of its
@@ -18,9 +18,10 @@ the trie's window is wide (at most ``WINDOW_ROWS``; any ``d >= 1`` at
 index, two ``searchsorted`` calls in all, which also give the insertion
 point.  Longer ladders, and ``d = 0`` (one bucket) as in the trie's strict
 and complete modes, read the tiers inside the rows around the insertion
-point off one compare of at most ``2 * WINDOW_ROWS`` rows, and search the
+point off a compare of at most ``2 * WINDOW_ROWS`` rows, and search the
 rest, the bucket among them.  The top-k is selected tier by tier, as in the
-trie's complete mode.  A query costs O(L log n) per depth searched plus the
+trie's complete mode.  A query costs O(W log n) per depth searched, for keys
+of ``W`` bytes (:mod:`lcpsearch.trie`), plus the
 rows it selects, and its scratch memory stays within a few times
 ``max(trie.NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the bucket size.
 :meth:`TalEngine.bucket_range` searches the bucket's depth alone.
@@ -91,8 +92,9 @@ class TalEngine:
     def bucket_range(self, q) -> tuple[int, int]:
         """Row range of the query's prefix bucket: one search per side over the index."""
         index = self.index
-        key = validate_query(q, self.length, self.sigma)
-        starts, ends = index._prefix_ranges(key, np.array([self.bucket_depth]), self.n, 0)
+        key = index._pack_key(validate_query(q, self.length, self.sigma))
+        depth = self.bucket_depth
+        starts, ends = index._prefix_ranges(key, range(depth, depth - 1, -1), self.n, 0)
         return int(starts[0]), int(ends[0])
 
     def bucket_sizes(self) -> np.ndarray:
@@ -106,8 +108,10 @@ class TalEngine:
                 f"{self.bucket_count} buckets exceed the listing limit of {MAX_LISTED_BUCKETS}"
             )
         codes = np.zeros(self.n, dtype=np.int64)
-        for j in range(self.bucket_depth):
-            codes = codes * self.sigma + self.index.rows[:, j]
+        if self.bucket_depth:
+            prefixes = self.index._rows(0, self.n, self.bucket_depth)  # unpacked once
+            for j in range(self.bucket_depth):
+                codes = codes * self.sigma + prefixes[:, j]
         return np.bincount(codes, minlength=self.bucket_count)
 
     def query(self, q, k: int, work: WorkReport | None = None) -> tuple[QueryResult, WorkReport]:

@@ -1,23 +1,32 @@
-"""Prefix-tree index over a fixed-length dataset, stored as its sorted rows.
+"""Prefix-tree index over a fixed-length dataset, stored as its sorted, bit-packed rows.
 
 Layout
 ------
-Construction sorts the dataset once (stable, lexicographic) and keeps two
-arrays and nothing else:
+Construction packs every row into a key and sorts the keys once (stable,
+lexicographic), keeping two arrays and nothing else:
 
-- ``rows``: the sorted rows, big-endian (``>u2``), so that each row is its
-  own memcmp search key (:func:`lcpsearch.core.memcmp_keys`, a view);
+- ``keys``: the sorted rows, each packed at ``b = max(1, bit_length(sigma - 1))``
+  bits per symbol, most significant bit first, and zero-padded to
+  ``W = ceil(L * b / 8)`` bytes (:func:`symbol_bits`, :func:`key_width`).
+  Unsigned fields packed big-endian compare bytewise exactly as their rows
+  compare lexicographically, so each key is its own memcmp search key;
 - ``order``: the sort permutation (int32), the item index of each row.
 
-That is ``2L + 4`` bytes per item.  The trie is implicit: because every item
-has the same length, the depth-``d`` nodes are the maximal runs of rows that
-share their first ``d`` symbols (the lcp-intervals of the rows), so a node is
-fully described by its depth and its row range.  Its subtree size is the
-width of the range, its children are the runs of equal symbols in column
-``d`` of the range, and its posting list, non-empty only at depth ``L``, is
-its slice of ``order``.  Node ids (level by level, within a level in sorted
-order), node counts and level offsets are derived on demand from the
-adjacent-LCP array; no query needs them.
+That is ``W + 4`` bytes per item: 8 at ``L = 16``, ``sigma = 4``.  At
+``sigma = 65536`` a key is the row's big-endian ``>u2`` bytes, so one code
+path serves every alphabet.  The unpacked rows are derived on demand
+(:attr:`TrieIndex.rows`, O(n L)) for inspection only; no build, query,
+snapshot or report path reads them.
+
+The trie is implicit: because every item has the same length, the depth-``d``
+nodes are the maximal runs of rows that share their first ``d`` symbols (the
+lcp-intervals of the rows), so a node is fully described by its depth and
+its row range.  Its subtree size is the width of the range, its children are
+the runs of equal symbols in column ``d`` of the range, and its posting
+list, non-empty only at depth ``L``, is its slice of ``order``.  Node ids
+(level by level, within a level in sorted order), node counts and level
+offsets are derived on demand from the adjacent-LCP array, which the first
+set bit of each XOR of neighbouring keys gives; no query needs them.
 
 Every byte of the structure is a pure function of the dataset: no hashing,
 no pointer addresses, no iteration-order dependence.  A built index is
@@ -25,14 +34,18 @@ immutable and may be queried concurrently without synchronization.
 
 Query path
 ----------
-The rows sharing the query's first ``t`` symbols form one contiguous range
-containing its insertion point (the first row not below it), and the
-ranges for ``t = D, D-1, ...`` are nested tiers of equal LCP, walked
-deepest first and taken from by one selection loop.  The walk can stop at
-a depth ``d0``: its last tier is then the range of rows sharing ``d0``
-symbols.  A range is found by binary search with the query prefix padded
-by 0x0000 (left end) and 0xFFFF (right end), the classic suffix-array
-technique, and the walk has two entries:
+A query is validated as a ``>u2`` key (:func:`lcpsearch.core.validate_query`)
+and packed like a row.  The rows sharing the query's first ``t`` symbols form
+one contiguous range containing its insertion point (the first row not below
+it), and the ranges for ``t = D, D-1, ...`` are nested tiers of equal LCP,
+walked deepest first and taken from by one selection loop.  The walk can stop
+at a depth ``d0``: its last tier is then the range of rows sharing ``d0``
+symbols.  A range is found by binary search with the packed query whose bits
+from ``t * b`` on are cleared (left end) or set (right end), the classic
+suffix-array technique; all-ones fields exceed every symbol, so right ends
+stay exact when ``sigma`` is not a power of two.  A row's LCP with the query
+is the first set bit of their XOR, divided by ``b``, exact at any width
+because both are read as Python ints.  The walk has two entries:
 
 - a short ladder stopped above the root, ``d0 >= 1`` and ``L - d0 + 1``
   depths no more than the window is wide (``w``, at most ``WINDOW_ROWS``),
@@ -40,18 +53,21 @@ technique, and the walk has two entries:
   left end of the depth-``L`` range is the insertion point, so nothing
   else is searched;
 - any other walk first binary-searches the insertion point, reads off the
-  tiers inside the ``2w`` rows around it from one compare of them, and
-  searches only the tiers reaching past them.
+  tiers inside the ``2w`` rows around it by comparing them one by one
+  outward from it, only as far as the tiers taken reach, and searches only
+  the tiers reaching past them.
 
-A query costs ``O(L log n)`` per side per depth searched, plus the rows it
-selects (and on the window entry, the insertion search and the compare);
-its scratch memory stays within a few times
-``max(NEEDLE_CHUNK_BYTES, 2L)`` bytes.  Strict and complete queries
-(``d0 = 0``) always take the window entry: strict uses only the deepest
-tier, which the window usually holds, so searching the whole ladder would
-be wasted.  The TAL engine (:mod:`lcpsearch.tal`) is the walk stopped at
-its bucket depth, so it takes the ladder search when that depth is at
-least ``max(1, L + 1 - w)`` (any depth from 1 at ``L = 16``).
+``w`` and the search batch are sized as if a key were ``2L`` bytes (the
+unpacked row), which bounds packed keys of at most that width.  A query
+costs ``O(W log n)`` per side per depth searched, plus the rows it selects
+(and on the window entry, the insertion search and the compare); its
+scratch memory stays within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)``
+bytes, and the index keeps ``L * b + 8W`` bytes of needle masks for it.  Strict and complete queries (``d0 = 0``) always take the window
+entry: strict uses only the deepest tier, which the window usually holds,
+so searching the whole ladder would be wasted.  The TAL engine
+(:mod:`lcpsearch.tal`) is the walk stopped at its bucket depth, so it takes
+the ladder search when that depth is at least ``max(1, L + 1 - w)`` (any
+depth from 1 at ``L = 16``).
 
 Query semantics
 ---------------
@@ -73,6 +89,7 @@ one per ancestor walked.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -85,8 +102,6 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     InvalidStateError,
-    adjacent_lcp,
-    lexicographic_order,
     memcmp_keys,
     validate_query,
 )
@@ -101,6 +116,12 @@ NEEDLE_CHUNK_BYTES = 1 << 16
 # Rows on each side of the insertion point compared at once (fewer when that
 # many rows of 2L bytes exceed NEEDLE_CHUNK_BYTES); tiers inside are not searched.
 WINDOW_ROWS = 16
+
+# Rows unpacked per step by the derived views: at most this many bytes of bits.
+UNPACK_CHUNK_BYTES = 1 << 22
+
+# Leading zero bits of each byte value; a zero byte gets a count past any key's bits.
+_LEADING_ZEROS = np.array([1 << 30] + [8 - v.bit_length() for v in range(1, 256)], np.int32)
 
 MODE_CODES = {"strict": 0, "complete": 1, "tal": 2}
 
@@ -142,20 +163,108 @@ def _smallest(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _row_lcps(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """LCP of each of ``rows`` with ``key``: its first mismatch, one appended past the end."""
-    neq = np.ones((rows.shape[0], key.size + 1), dtype=bool)
-    np.not_equal(rows, key, out=neq[:, :-1])
-    return neq.argmax(axis=1)
+def symbol_bits(sigma: int) -> int:
+    """Bits per packed symbol: enough for ``sigma - 1``, and at least one."""
+    return max(1, (sigma - 1).bit_length())
 
 
-def _new_ranges(depths: np.ndarray, starts: np.ndarray, ends: np.ndarray, a: int, b: int):
+def key_width(length: int, bits: int) -> int:
+    """Bytes per packed key: ``length`` symbols of ``bits`` bits, zero-padded."""
+    return -(-length * bits // 8)
+
+
+def _pack_words(rows: np.ndarray, bits: int) -> np.ndarray:
+    """Each row's symbols packed at ``bits`` bits, most significant first, in uint64 words.
+
+    Returns ``(n, words)`` native uint64, zero-padded; the first
+    ``key_width`` bytes of their big-endian bytes are the row's key.  A group
+    of ``g = 64 / gcd(bits, 64)`` symbols fills whole words, so the loop runs
+    over at most 64 symbol slots, each a column operation over every group.
+    """
+    n, length = rows.shape
+    g = 64 // math.gcd(bits, 64)
+    groups = -(-length // g)
+    if groups == 1:
+        x = rows[:, None, :]
+    elif length % g:
+        x = np.zeros((n, groups * g), dtype=rows.dtype)
+        x[:, :length] = rows
+        x = x.reshape(n, groups, g)
+    else:
+        x = rows.reshape(n, groups, g)
+    per_group = bits * g // 64
+    words = np.zeros((n, groups, per_group), dtype=np.uint64)
+    for k in range(min(g, length)):
+        w, start = divmod(k * bits, 64)
+        end = start + bits
+        col = x[:, :, k].astype(np.uint64)
+        if end <= 64:
+            words[:, :, w] |= col << np.uint64(64 - end)
+        else:
+            words[:, :, w] |= col >> np.uint64(end - 64)
+            words[:, :, w + 1] |= col << np.uint64(128 - end)
+    return words.reshape(n, groups * per_group)
+
+
+def _word_bytes(words: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` big-endian bytes of each row of ``words``: C-contiguous keys."""
+    return np.ascontiguousarray(words.astype(">u8").view(np.uint8)[:, :width])
+
+
+def _unpacked(keys: np.ndarray, bits: int, columns: int):
+    """The first ``columns`` symbols of each packed key as uint16 rows: ``(offset, rows)`` chunks.
+
+    Each chunk spreads at most ``UNPACK_CHUNK_BYTES`` bytes of bits.
+    """
+    step = max(1, UNPACK_CHUNK_BYTES // (16 * columns))
+    for i in range(0, keys.shape[0], step):
+        part = keys[i : i + step]
+        m = part.shape[0]
+        fields = np.unpackbits(part, axis=1, count=columns * bits).reshape(m, columns, bits)
+        wide = np.zeros((m, columns, 16), dtype=np.uint8)
+        wide[..., 16 - bits :] = fields
+        yield i, np.packbits(wide, axis=2).view(">u2")[..., 0].astype(np.uint16)
+
+
+def _xor_lcps(x: np.ndarray, bits: int, length: int) -> np.ndarray:
+    """LCP in symbols of each pair of keys whose XOR is a row of ``x``.
+
+    The first set bit of the XOR is the first differing bit; it lies in the
+    first differing symbol.  Exact integer arithmetic on bytes, at any width.
+    """
+    first = _LEADING_ZEROS[x]
+    first += np.arange(0, 8 * x.shape[1], 8, dtype=np.int32)
+    return np.minimum(first.min(axis=1) // bits, length)
+
+
+def _row_lcps(index: "TrieIndex", lo: int, hi: int, key: int):
+    """LCPs of rows ``[lo, hi)`` with the packed ``key``, read lazily.
+
+    Returns a function of a row number: its LCP, the first set bit of its
+    key XOR ``key`` divided by ``b``, or -1 outside the rows.  Each row is
+    read as one Python int, so a walk pays only for the rows it reads.
+    """
+    width, pad, bits = index._width, index._pad, index.bits
+    top = index.length * bits
+    rows = index._raw[lo * width : hi * width].tobytes()
+
+    def lcp(i: int) -> int:
+        if not lo <= i < hi:
+            return -1
+        j = (i - lo) * width
+        row = int.from_bytes(rows[j : j + width], "big")
+        return (top - ((row ^ key) >> pad).bit_length()) // bits
+
+    return lcp
+
+
+def _new_ranges(depths: range, starts: np.ndarray, ends: np.ndarray, a: int, b: int):
     """``(depth, start, end)`` of each searched range wider than the one before it.
 
     The ranges are nested, widening from ``[a, b)``; a range equal to the one
     before it adds no row and is no tier.
     """
-    for t, s, e in zip(depths.tolist(), starts.tolist(), ends.tolist()):
+    for t, s, e in zip(depths, starts.tolist(), ends.tolist()):
         if (s, e) != (a, b):
             yield t, s, e
             a, b = s, e
@@ -174,7 +283,7 @@ class TrieNodeView:
     def node_id(self) -> int:
         """Breadth-first id (derived on demand; O(n L))."""
         index = self.index
-        adj = adjacent_lcp(index.rows)
+        adj = index._adjacent_lcps(0, index.n)
         first = level_offsets(adj, index.n, index.length)[self.depth]
         return int(first + np.searchsorted(level_starts(adj, index.n, self.depth), self.row_lo))
 
@@ -186,7 +295,7 @@ class TrieNodeView:
     def edge_symbol(self) -> int | None:
         if self.depth == 0:
             return None
-        return int(self.index.rows[self.row_lo, self.depth - 1])
+        return int(self.index._rows(self.row_lo, self.row_lo + 1)[0, self.depth - 1])
 
     @property
     def posting(self) -> np.ndarray:
@@ -196,11 +305,15 @@ class TrieNodeView:
         return self.index.order[self.row_lo : self.row_hi]
 
     def children(self) -> list["TrieNodeView"]:
-        """Child views in ascending edge-symbol order: the runs of column ``depth``."""
+        """Child views in ascending edge-symbol order: the runs of column ``depth``.
+
+        Rows of the node share ``depth`` symbols, so a run ends where two
+        neighbours share no more.
+        """
         if self.depth == self.index.length or self.row_lo == self.row_hi:
             return []
-        col = self.index.rows[self.row_lo : self.row_hi, self.depth]
-        cuts = (self.row_lo + 1 + np.flatnonzero(col[1:] != col[:-1])).tolist()
+        adj = self.index._adjacent_lcps(self.row_lo, self.row_hi)
+        cuts = (self.row_lo + 1 + np.flatnonzero(adj <= self.depth)).tolist()
         bounds = [self.row_lo, *cuts, self.row_hi]
         return [
             TrieNodeView(self.index, self.depth + 1, lo, hi)
@@ -232,16 +345,27 @@ def level_offsets(adj: np.ndarray, n: int, length: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
-def layout_defect(rows: np.ndarray, order: np.ndarray, sigma: int) -> str | None:
-    """Why ``rows`` and ``order`` are not the index of any dataset, or None.
+def layout_defect(keys: np.ndarray, order: np.ndarray, sigma: int, length: int) -> str | None:
+    """Why ``keys`` and ``order`` are not the index of any dataset, or None.
 
-    They are when every symbol is below ``sigma``, ``order`` is a permutation
-    of ``[0, n)``, and the rows ascend in stable lexicographic order: equal
-    rows by ascending item index.
+    They are when each key is ``length`` fields of :func:`symbol_bits` bits
+    with zero padding, every field is below ``sigma`` (checked only when
+    ``sigma`` is below ``2^b``, since a ``b``-bit field cannot exceed it
+    otherwise), ``order`` is a permutation of ``[0, n)``, and the keys ascend
+    in stable order: equal keys by ascending item index.
     """
-    n = rows.shape[0]
-    if n and int(rows.max()) >= sigma:
-        return f"symbol {int(rows.max())} out of range for alphabet of size {sigma}"
+    n = keys.shape[0]
+    bits = symbol_bits(sigma)
+    width = key_width(length, bits)
+    if keys.shape != (n, width):
+        return f"keys are {keys.shape[1]} bytes wide, not {width}"
+    pad = 8 * width - length * bits
+    if n and pad and int((keys[:, -1] & ((1 << pad) - 1)).max()):
+        return "key padding bits are not zero"
+    if n and sigma < 1 << bits:
+        top = max(int(rows.max()) for _, rows in _unpacked(keys, bits, length))
+        if top >= sigma:
+            return f"symbol {top} out of range for alphabet of size {sigma}"
     if order.shape != (n,) or (
         n
         and (
@@ -252,11 +376,11 @@ def layout_defect(rows: np.ndarray, order: np.ndarray, sigma: int) -> str | None
     ):
         return "item indices are not a permutation of [0, n)"
     if n > 1:
-        neq = rows[1:] != rows[:-1]
+        neq = keys[1:] != keys[:-1]
         col = neq.argmax(axis=1)
         i = np.arange(n - 1)
         ascending = np.where(
-            neq.any(axis=1), rows[i + 1, col] > rows[i, col], order[1:] > order[:-1]
+            neq.any(axis=1), keys[i + 1, col] > keys[i, col], order[1:] > order[:-1]
         )
         if not ascending.all():
             return "rows are not in stable lexicographic order"
@@ -266,27 +390,62 @@ def layout_defect(rows: np.ndarray, order: np.ndarray, sigma: int) -> str | None
 class TrieIndex:
     """Immutable trie over a dataset; see the module docstring for layout."""
 
-    def __init__(self, *, sigma: int, rows: np.ndarray, order: np.ndarray):
-        self.n, self.length = (int(x) for x in rows.shape)
+    def __init__(self, *, sigma: int, length: int, keys: np.ndarray, order: np.ndarray):
+        self.n = int(keys.shape[0])
+        self.length = length
         self.sigma = sigma
-        self.rows = rows
+        self.bits = symbol_bits(sigma)
+        self.keys = keys
         self.order = order
-        for arr in (rows, order):
+        for arr in (keys, order):
             arr.setflags(write=False)
-        self._keys = memcmp_keys(rows)
+        self._search_keys = memcmp_keys(keys)
+        # the keys' bytes, read a few rows at a time as Python ints by queries
+        self._raw = memoryview(keys.reshape(-1))
+        self._width = int(keys.shape[1])
+        self._pad = 8 * self._width - self.length * self.bits
+        self._bit_masks = (1 << np.arange(self.bits - 1, -1, -1)).astype(np.uint16)
+        # row o of the stairs is 8W bits whose first L*b - o are set: the bits
+        # a needle keeps of the key at depth L - o / b
+        stairs = np.zeros(self.length * self.bits + 8 * self._width, dtype=bool)
+        stairs[: self.length * self.bits] = True
+        self._stairs = np.lib.stride_tricks.sliding_window_view(stairs, 8 * self._width)
         self.c_sym = work_per_symbol(self.length)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
-        """Live memory footprint in bytes: the sorted rows and the permutation."""
-        return int(self.rows.nbytes + self.order.nbytes)
+        """Live memory footprint in bytes: the sorted keys and the permutation."""
+        return int(self.keys.nbytes + self.order.nbytes)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The sorted rows, unpacked from the keys on every access (O(n L); inspection only)."""
+        return self._rows(0, self.n)
+
+    def _rows(self, lo: int, hi: int, columns: int | None = None) -> np.ndarray:
+        """The first ``columns`` (default all) symbols of rows ``[lo, hi)``, unpacked."""
+        columns = self.length if columns is None else columns
+        out = np.empty((hi - lo, columns), dtype=np.uint16)
+        for i, rows in _unpacked(self.keys[lo:hi], self.bits, columns):
+            out[i : i + rows.shape[0]] = rows
+        return out
+
+    def _adjacent_lcps(self, lo: int, hi: int) -> np.ndarray:
+        """LCP of each row in ``(lo, hi)`` with the row before it, from XORs of their keys."""
+        out = np.empty(max(0, hi - lo - 1), dtype=np.int32)
+        step = max(1, UNPACK_CHUNK_BYTES // (4 * self.keys.shape[1]))
+        for i in range(lo, hi - 1, step):
+            j = min(hi - 1, i + step)
+            x = self.keys[i + 1 : j + 1] ^ self.keys[i:j]
+            out[i - lo : j - lo] = _xor_lcps(x, self.bits, self.length)
+        return out
 
     @property
     def level_offset(self) -> np.ndarray:
         """First node id of each depth ``0..L``, then the node count (derived)."""
-        return level_offsets(adjacent_lcp(self.rows), self.n, self.length)
+        return level_offsets(self._adjacent_lcps(0, self.n), self.n, self.length)
 
     @property
     def node_count(self) -> int:
@@ -300,7 +459,7 @@ class TrieIndex:
         return TrieNodeView(self, 0, 0, self.n)
 
     def node(self, node_id: int) -> TrieNodeView:
-        adj = adjacent_lcp(self.rows)
+        adj = self._adjacent_lcps(0, self.n)
         offsets = level_offsets(adj, self.n, self.length)
         if not (0 <= node_id < int(offsets[-1])):
             raise InvalidInputError(f"node id {node_id} out of range")
@@ -311,24 +470,43 @@ class TrieIndex:
 
     # -- prefix tiers --------------------------------------------------------
 
-    def _prefix_ranges(
-        self, key: np.ndarray, depths: np.ndarray, a: int, b: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row range of the rows starting with ``key[:t]``, for each t in ``depths``.
+    def _pack_key(self, key: np.ndarray) -> int:
+        """A validated ``>u2`` query key packed like the rows, as an int of ``8W`` bits.
 
-        ``key[:t]`` padded with 0x0000 is the smallest row with that prefix
-        and padded with 0xFFFF the largest, so one ``searchsorted`` per side
-        finds every range.  Each range must contain rows ``[a, b)``, so only
-        the rows outside them are searched; ``a = n, b = 0`` searches them all.
+        Short keys are packed by integer shifts, which cost less than any
+        numpy call; long ones by ``np.packbits``, which stays linear in ``L``.
         """
-        needles = np.empty((2, depths.size, self.length), dtype=">u2")
-        needles[...] = key
-        pad = np.arange(self.length) >= depths[:, None]
-        np.putmask(needles[0], pad, 0)
-        np.putmask(needles[1], pad, 0xFFFF)
-        first, last = needles.view(self._keys.dtype)[..., 0]
-        starts = self._keys[:a].searchsorted(first, side="left")
-        ends = self._keys[b:].searchsorted(last, side="right")
+        if self.length <= 64:
+            value = 0
+            for symbol in key.tolist():
+                value = value << self.bits | symbol
+            return value << self._pad
+        return int.from_bytes(np.packbits(key[:, None] & self._bit_masks).tobytes(), "big")
+
+    def _prefix_ranges(
+        self, key: int, depths: range, a: int, b: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row range of the rows sharing ``t`` symbols with ``key``, for each t in ``depths``.
+
+        ``key`` is packed and ``depths`` descends one at a time.  With its
+        bits from ``t * b`` on cleared, ``key`` is the smallest key with that
+        prefix, and with them set it is above the largest, so one
+        ``searchsorted`` per side finds every range.  The kept bits of each
+        depth are one row of the index's stairs, packed.  Each range must contain
+        rows ``[a, b)``, so only the rows outside them are searched;
+        ``a = n, b = 0`` searches them all.
+        """
+        bits, width = self.bits, self._width
+        first_row = (self.length - depths[0]) * bits
+        kept = np.packbits(self._stairs[first_row : first_row + len(depths) * bits : bits], axis=1)
+        packed = np.frombuffer(key.to_bytes(width, "big"), dtype=np.uint8)
+        needles = np.empty((2, len(depths), width), dtype=np.uint8)
+        np.bitwise_and(kept, packed, out=needles[0])
+        np.invert(kept, out=kept)
+        np.bitwise_or(kept, packed, out=needles[1])
+        first, last = needles.view(self._search_keys.dtype)[..., 0]
+        starts = self._search_keys[:a].searchsorted(first, side="left")
+        ends = self._search_keys[b:].searchsorted(last, side="right")
         if b:
             ends += b
         return starts, ends
@@ -336,8 +514,9 @@ class TrieIndex:
     def _tiers(self, key: np.ndarray, d0: int):
         """The query's insertion point and its equal-LCP tiers down to depth ``d0``.
 
-        ``key`` is a validated query key.  Returns ``(mid, tiers)``: ``mid``
-        is the first row not below the key, and ``tiers`` iterates deepest
+        ``key`` is a validated ``>u2`` query key, packed here.  Returns
+        ``(mid, tiers)``: ``mid`` is the first row not below the key, and
+        ``tiers`` iterates deepest
         first over ``(depth, start, end)``: rows ``[start, end)`` share at
         least ``depth`` symbols with the query, and the rows a tier adds to
         the one before it share exactly ``depth``.  It yields nothing when no
@@ -361,43 +540,53 @@ class TrieIndex:
         ``WINDOW_ROWS`` moves both, and should re-measure both.
         """
         length = self.length
+        key = self._pack_key(key)
+        # sized as for unpacked 2L-byte rows, which no packed key exceeds
         step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
         w = min(WINDOW_ROWS, step)
         if d0 and length - d0 + 1 <= w:
-            depths = np.arange(length, d0 - 1, -1)
+            depths = range(length, d0 - 1, -1)
             starts, ends = self._prefix_ranges(key, depths, self.n, 0)
             mid = int(starts[0])
             return mid, _new_ranges(depths, starts, ends, mid, mid)
-        mid = int(self._keys.searchsorted(key.view(self._keys.dtype))[0])
+        needle = np.frombuffer(key.to_bytes(self._width, "big"), self._search_keys.dtype)
+        mid = int(self._search_keys.searchsorted(needle)[0])
         return mid, self._window_tiers(key, mid, d0, w, step)
 
-    def _window_tiers(self, key: np.ndarray, mid: int, d0: int, w: int, step: int):
+    def _window_tiers(self, key: int, mid: int, d0: int, w: int, step: int):
         """The tiers of :meth:`_tiers`, read off the rows around ``mid`` first.
 
-        The rows within ``w`` of ``mid`` are compared at once.  Their LCPs
-        never decrease toward ``mid``, so each tier deeper than ``c``, the
-        larger LCP of the window-edge rows that have a neighbour outside the
-        window, lies inside it and is read off by walking outward.  From
+        ``key`` is packed.  The window is the rows within ``w`` of ``mid``,
+        read as one block and compared row by row as the walk reaches them.
+        Their LCPs never decrease toward ``mid``, so each tier deeper than
+        ``c``, the larger LCP of the window-edge rows that have a neighbour
+        outside the window, lies inside it and is read off by walking
+        outward from ``mid``, one row past each tier.  From
         depth ``c`` the ranges of up to ``step`` depths are searched at a
         time, past the rows taken; each later batch starts at the LCP of the
         rows just outside.  The walk stops after the batch that reaches ``d0``.
         """
         n = self.n
         lo, hi = max(0, mid - w), min(n, mid + w)
-        lcp = _row_lcps(self.rows[lo:hi], key).tolist()
+        lcp = _row_lcps(self, lo, hi, key)
         # rows outside the window share at most c symbols with the query
-        c = max(lcp[0] if lo > 0 else -1, lcp[-1] if hi < n else -1)
+        c = max(lcp(lo) if lo > 0 else -1, lcp(hi - 1) if hi < n else -1)
         floor = max(c, d0 - 1)
         a = b = mid
-        for depth in sorted({v for v in lcp if v > floor}, reverse=True):
-            while a > lo and lcp[a - 1 - lo] >= depth:
+        below, above = lcp(a - 1), lcp(b)
+        depth = max(below, above)
+        while depth > floor:
+            while below >= depth:
                 a -= 1
-            while b < hi and lcp[b - lo] >= depth:
+                below = lcp(a - 1)
+            while above >= depth:
                 b += 1
+                above = lcp(b)
             yield depth, a, b
+            depth = max(below, above)
         depth = c
         while depth >= d0:
-            depths = np.arange(depth, max(d0 - 1, depth - step), -1)
+            depths = range(depth, max(d0 - 1, depth - step), -1)
             starts, ends = self._prefix_ranges(key, depths, a, b)
             if (starts[0], ends[0]) == (a, b):
                 raise InternalInvariantError(f"no row found sharing {depth} symbols")
@@ -406,7 +595,7 @@ class TrieIndex:
             outside = [i for i in (a - 1, b) if 0 <= i < n]
             if depths[-1] == d0 or not outside:
                 return
-            depth = int(_row_lcps(self.rows[outside], key).max())
+            depth = max(_row_lcps(self, i, i + 1, key)(i) for i in outside)
 
     def _select(self, tiers, mid: int, need: int) -> tuple[np.ndarray, np.ndarray]:
         """Up to ``need`` hits taken tier by tier from ``tiers``: (indices, lcps).
@@ -499,29 +688,38 @@ class TrieIndex:
     def check_invariants(self) -> None:
         """Verify the layout contract; raises InternalInvariantError on failure.
 
-        Checks: every symbol is in the alphabet, ``order`` is a permutation
-        of ``[0, n)``, and the rows are in stable lexicographic order.
+        Checks: the keys are packed with zero padding, every symbol is in
+        the alphabet, ``order`` is a permutation of ``[0, n)``, and the keys
+        are in stable lexicographic order (:func:`layout_defect`).
         """
-        defect = layout_defect(self.rows, self.order, self.sigma)
+        defect = layout_defect(self.keys, self.order, self.sigma, self.length)
         if defect is not None:
             raise InternalInvariantError(defect)
 
 
 def build(dataset: Dataset) -> TrieIndex:
-    """Construct the index: sort the rows once and keep them with the permutation.
+    """Construct the index: pack the rows, sort the keys once, keep them with the permutation.
 
-    An empty dataset yields a valid index containing only the root.
+    Keys of at most 8 bytes are sorted as one native uint64 each.  An empty
+    dataset yields a valid index containing only the root.
     """
     items = dataset.items
-    if items.shape[0] >= MAX_ITEMS:
-        raise InvalidInputError(f"{items.shape[0]} items exceed the limit of {MAX_ITEMS - 1}")
-    order = lexicographic_order(items)
-    # Big-endian rows are their own memcmp keys; swap in place so the build
-    # never holds two copies of the rows.
-    rows = items[order]
-    if rows.dtype != np.dtype(">u2"):
-        rows = rows.byteswap(inplace=True).view(">u2")
-    return TrieIndex(sigma=dataset.alphabet.size, rows=rows, order=order.astype(np.int32))
+    n, length = items.shape
+    if n >= MAX_ITEMS:
+        raise InvalidInputError(f"{n} items exceed the limit of {MAX_ITEMS - 1}")
+    sigma = dataset.alphabet.size
+    bits = symbol_bits(sigma)
+    width = key_width(length, bits)
+    words = _pack_words(items, bits)
+    if width <= 8:
+        order = np.argsort(words[:, 0], kind="stable")
+        keys = _word_bytes(words[order], width)
+    else:
+        keys = _word_bytes(words, width)
+        del words
+        order = np.argsort(memcmp_keys(keys), kind="stable")
+        keys = keys[order]
+    return TrieIndex(sigma=sigma, length=length, keys=keys, order=order.astype(np.int32))
 
 
 class QueryCache:

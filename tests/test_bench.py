@@ -181,6 +181,17 @@ def test_missing_index_path_raises_invalid_state():
         run_scenario(config)
 
 
+def test_snapshot_report_echoes_the_served_shape(tmp_path):
+    # the config's shape keys (400 x 10 over 2 symbols) describe no served index
+    path = str(tmp_path / "small.lcpi")
+    write_index(path, build(generate_dataset(50, 6, 5, seed=3)))
+    machine = run_scenario(toy("sustained", index_path=path)).to_machine()
+    config = machine["config"]
+    assert (config["n_items"], config["seq_len"], config["alphabet"]) == (50, 6, 5)
+    assert config["distribution"] is None and config["index_path"] == path
+    assert machine["results"]["index_bytes"] == 50 * (3 + 4)  # 6 symbols of 3 bits
+
+
 def test_duration_mode_runs_until_deadline():
     config = toy("sustained", duration_s=0.2, query_count=10)
     report = run_scenario(config).to_machine()
@@ -196,9 +207,9 @@ def test_duration_mode_runs_until_deadline():
 # ---------------------------------------------------------------------------
 
 RESULT_PINS = {
-    "sustained-uniform": "eceb6e3e7cdd383fa253f83497758e1ff00ac1be1ae9ca08fd9bcc815a332b9b",
-    "sustained-strict-prefix": "967ef9179184109c1d5d43d0a29f61f7c833e9ab3f45f3cdd635579b652949d1",
-    "sustained-snapshot": "134da9b81e6384bbcfb033715a7af7510bfbadd49acad357360d6c8f878de392",
+    "sustained-uniform": "b97a362e42cfa223fe8ba980ac959d32a856ebbd55f71d01380b3435d031ddba",
+    "sustained-strict-prefix": "a6b184af19c9971248e1a7b7bb469f49cde4341cc0c1eafee6a9ff8c7cf867fa",
+    "sustained-snapshot": "11bf7e5350636f5f21c65945b88bd7a14b229cf002a1631f35a4fe679885422f",
     "gnc": "dc1266a2f9e8e8d9982c2083de771b2b9bf964cb07c79fa3cddd26ea448c0b02",
     "tal_sweep": "d3edff8da2912c91e122f23c6e2beabb1c09555bc5f44dbd0a003af119b658d6",
     "memo": "3bdf6604d9b816c69ca8d485d2012ff2231a174dd5f5d7b80542f8cf26c180e5",

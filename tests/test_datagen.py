@@ -1,5 +1,7 @@
 """Seeded data generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,17 @@ def test_query_prefix_len_validation():
     ds = generate_dataset(10, 4, 2, seed=1)
     with pytest.raises(InvalidInputError):
         generate_queries(ds, 5, seed=2, prefix_len=5)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((16, 4, 5), "8e02ee2dd445056a2d6bee481a93c6e2d5aa2d8d70ed7d9f01236ee6c8df10b5"),
+        ((5, 300, 9), "a2087285fd2a11ae2d59ff634dad9b1f5680cff9c81370f2c3175f6a67e15d52"),
+    ],
+)
+def test_clustered_rows_are_pinned_across_draw_chunks(args, digest):
+    # three chunks of 2^15 rows and a partial one: the chunked draw reads the
+    # Philox stream exactly as one draw of every head symbol did
+    ds = generate_dataset(3 * 2**15 + 7, *args, distribution="clustered")
+    assert hashlib.sha256(ds.items.astype("<u2").tobytes()).hexdigest() == digest

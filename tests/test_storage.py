@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -155,30 +156,44 @@ def test_snapshot_reader_rejects_corruption():
         index_from_snapshot_bytes(bytes(bad))
 
 
+# (dataset, LCPI v2 digest, LCPI v3 digest)
 PINNED_SNAPSHOTS = {
     "uniform": (
         lambda: generate_dataset(300, 9, 4, seed=101),
         "a7008c435440620ca9eb287b1f2f2af101e16fe579a11cdde95adb1c184aaadb",
+        "3d2cee82aae289db727573462260ec44b2217b7a495affc8d83a91f10042b47a",
     ),
     "duplicates": (
         lambda: Dataset.from_rows(
             np.repeat(generate_dataset(60, 6, 3, seed=102).items, 3, axis=0), 3
         ),
         "944ef8e7a1e0936fc00ec840160eada7863596a76e3c07c5794bb5cdc141fb03",
+        "9e3a908ca325812557dbde02356b07ac895bbf19fcf4d6ba96998877f8aafb0b",
     ),
     "empty": (
         lambda: Dataset.from_rows(np.zeros((0, 5), dtype=np.uint16), 4),
         "f303c9fa2eb4d6865cf965a85b52092112516468c4fc073fe2416a1944e314af",
+        "d1c6b3e8634157162e63644c65cf3ccb7eeb7c3abd9fcf5698053191bc2fc926",
     ),
 }
 
 
+def _v2_snapshot_bytes(index):
+    """The LCPI v2 encoding of an index: header, unpacked >u2 rows, order, CRC32."""
+    header = struct.pack("<4sHQII", b"LCPI", 2, index.n, index.length, index.sigma)
+    body = header + index.rows.astype(">u2").tobytes() + index.order.astype("<i4").tobytes()
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_SNAPSHOTS))
 def test_snapshot_bytes_are_pinned(case):
-    # LCPI v2 is the published format: these digests must never change
-    make, digest = PINNED_SNAPSHOTS[case]
-    snap = index_snapshot_bytes(build(make()))
-    assert hashlib.sha256(snap).hexdigest() == digest
+    # LCPI v3 is the published format: these digests must never change.  The
+    # v2 digests pin the index content: its rows and order, re-encoded as v2.
+    make, digest_v2, digest_v3 = PINNED_SNAPSHOTS[case]
+    index = build(make())
+    assert hashlib.sha256(_v2_snapshot_bytes(index)).hexdigest() == digest_v2
+    snap = index_snapshot_bytes(index)
+    assert hashlib.sha256(snap).hexdigest() == digest_v3
     assert index_snapshot_bytes(index_from_snapshot_bytes(snap)) == snap
 
 
@@ -217,14 +232,14 @@ def test_every_bit_flip_truncation_and_extension_is_rejected():
 
 
 def test_snapshot_reader_rejects_two_to_the_31_items():
-    header = struct.pack("<4sHQII", b"LCPI", 2, 1 << 31, 4, 2)
+    header = struct.pack("<4sHQII", b"LCPI", 3, 1 << 31, 4, 2)
     with pytest.raises(InvalidInputError, match="limit"):
         index_from_snapshot_bytes(header)
 
 
 def test_snapshot_reader_checks_the_size_before_allocating_rows():
     # 22 bytes: a header claiming n = 2^31 - 1 rows of L = 65535 (256 TiB)
-    header = struct.pack("<4sHQII", b"LCPI", 2, (1 << 31) - 1, 65535, 2)
+    header = struct.pack("<4sHQII", b"LCPI", 3, (1 << 31) - 1, 65535, 2)
     tracemalloc.start()
     try:
         with pytest.raises(InvalidInputError, match="size mismatch"):
@@ -240,6 +255,52 @@ def test_version_1_snapshot_is_refused():
     header = struct.pack("<4sH6BQIIQ", b"LCPI", 1, 2, 4, 4, 2, 4, 2, (1 << 31) - 1, 65535, 2, 1)
     with pytest.raises(InvalidInputError, match="unsupported snapshot version 1.*lcpsearch build"):
         index_from_snapshot_bytes(header + struct.pack("<HIH", 0, 0, 0))
+
+
+def test_version_2_snapshot_is_refused():
+    # a valid v2 file, as written before keys were packed
+    index = build(generate_dataset(20, 4, 3, seed=43))
+    with pytest.raises(InvalidInputError, match="unsupported snapshot version 2.*lcpsearch build"):
+        index_from_snapshot_bytes(_v2_snapshot_bytes(index))
+
+
+def _with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_packed_fields_and_padding_are_checked_under_a_valid_crc():
+    # sigma = 5 packs 3-bit fields (5..7 unused); L = 3 leaves 7 pad bits in 2 bytes
+    ds = Dataset.from_rows([[4, 0, 1], [0, 4, 4], [2, 3, 0], [4, 4, 4]], 5)
+    snap = index_snapshot_bytes(build(ds))
+    keys_at = 24  # a 22-byte header, then 2 pad bytes so that order is aligned
+    assert len(snap) == keys_at + 4 * 2 + 4 * 4 + 4
+    body = bytearray(snap[:-4])
+    last = bytearray(body)
+    last[keys_at + 3 * 2 + 1] |= 1  # the last pad bit of the largest key
+    first = bytearray(body)
+    first[keys_at + 3 * 2] |= 0xE0  # its first field 4 -> 7, still the largest key
+    for raw, match in ((last, "padding"), (first, "symbol 7 out of range")):
+        with pytest.raises(InvalidInputError, match=match):
+            index_from_snapshot_bytes(_with_crc(bytes(raw)))
+    header_pad = bytearray(body)
+    header_pad[22] = 1
+    with pytest.raises(InvalidInputError, match="pad"):
+        index_from_snapshot_bytes(_with_crc(bytes(header_pad)))
+
+
+@pytest.mark.parametrize("sigma", [3, 5])
+def test_every_bit_flip_truncation_and_extension_of_a_packed_snapshot_is_rejected(sigma):
+    rows = np.repeat(generate_dataset(16, 5, sigma, seed=44).items, 2, axis=0)
+    ds = Dataset.from_rows(rows, sigma)
+    snap = index_snapshot_bytes(build(ds))
+    mutants = [snap[:cut] for cut in range(len(snap))] + [snap + b"\x00"]
+    for bit in range(8 * len(snap)):
+        bad = bytearray(snap)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        mutants.append(bytes(bad))
+    for raw in mutants:
+        with pytest.raises(InvalidInputError):
+            index_from_snapshot_bytes(raw)
 
 
 def test_snapshot_roundtrip_at_the_length_and_alphabet_limits():

@@ -392,3 +392,76 @@ def test_cache_refuses_a_second_index():
         memoized_query(build(ds), q, 2, "complete", cache)
     assert memoized_query(first, q, 2, "complete", cache) is not None
     assert cache.hits == 1 and cache.misses == 1
+
+
+# ---------------------------------------------------------------------------
+# packed keys
+# ---------------------------------------------------------------------------
+
+def _lcp_profile(ds, q):
+    return np.logical_and.accumulate(ds.items == np.asarray(q), axis=1).sum(axis=1)
+
+
+def _check_packed_index(ds, queries, k):
+    """rows, adjacent LCPs, strict, complete and TAL of ``build(ds)`` against the raw rows."""
+    from lcpsearch.core import adjacent_lcp
+    from lcpsearch.tal import TalEngine
+
+    index = build(ds)
+    sigma, length = ds.alphabet.size, ds.length
+    bits = trie.symbol_bits(sigma)
+    assert index.keys.shape == (ds.n, trie.key_width(length, bits))
+    assert index.nbytes == ds.n * (index.keys.shape[1] + 4)
+    assert np.array_equal(index.rows, ds.items[index.order])
+    assert np.array_equal(index._adjacent_lcps(0, ds.n), adjacent_lcp(ds.items[index.order]))
+    index.check_invariants()
+    engines = [TalEngine(index, b) for b in sorted({1, min(sigma, sigma**length)})]
+    for q in queries:
+        want = oracle_top_k(ds, q, k).pairs()
+        lcps = _lcp_profile(ds, q)
+        top = int(lcps.max()) if ds.n else 0
+        assert index.query(q, k, "complete").pairs() == want, (sigma, length, q.tolist())
+        strict = want[: min(k, int((lcps == top).sum()))]
+        assert index.query(q, k, "strict").pairs() == strict, (sigma, length, q.tolist())
+        for engine in engines:
+            bucket = int((lcps >= engine.bucket_depth).sum())
+            res, report = engine.query(q, k)
+            assert res.pairs() == want[: min(k, bucket)], (sigma, length, engine.bucket_count)
+            assert report.items_scanned == bucket
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 5, 16, 255, 256, 257, 300, 65535, 65536])
+def test_packed_keys_answer_like_the_rows(sigma):
+    # key widths from 1 byte to 130, across the 8-byte sort-key boundary
+    rng = np.random.default_rng(sigma)
+    for length in [*range(1, 20), 32, 33, 64, 65]:
+        n = int(rng.integers(1, 40))
+        pool = rng.integers(0, sigma, size=(max(1, n // 3), length))
+        rows = pool[rng.integers(0, len(pool), size=n)]
+        cut = rng.integers(0, length + 1, size=(n, 1))
+        redraw = (np.arange(length) >= cut) & (rng.random((n, 1)) < 0.5)
+        rows = np.where(redraw, rng.integers(0, sigma, size=(n, length)), rows)
+        rows[0] = sigma - 1  # all-ones fields where sigma is a power of two
+        ds = Dataset.from_rows(rows, sigma)
+        queries = [ds.items[i].copy() for i in rng.integers(0, n, size=3)]
+        for q in queries[1:]:
+            c = int(rng.integers(0, length + 1))
+            q[c:] = rng.integers(0, sigma, size=length - c)
+        queries.append(np.full(length, sigma - 1))
+        _check_packed_index(ds, queries, int(rng.choice([1, 3, n + 2])))
+
+
+@pytest.mark.parametrize("sigma, length", [(2, 64), (2, 65), (4, 32), (4, 33), (3, 40)])
+def test_packed_lcps_are_exact_for_all_ones_xors(sigma, length):
+    # row j ends in j all-ones fields, so its key XOR the zero row's is 2^(jb) - 1
+    # (up to 2^64 - 1): a float bit length rounds these up above 2^53
+    rows = np.zeros((length + 1, length), dtype=np.int64)
+    for j in range(1, length + 1):
+        rows[j, length - j :] = sigma - 1
+    ds = Dataset.from_rows(rows[::-1], sigma)
+    queries = [np.zeros(length, dtype=np.int64), rows[length // 2], rows[-1]]
+    _check_packed_index(ds, queries, length + 1)
+    assert build(ds)._adjacent_lcps(0, ds.n).tolist() == list(range(length - 1, -1, -1))
+    # only the longest runs, so that the zero query's window compare meets them
+    near = Dataset.from_rows(np.concatenate((rows[:1], rows[-12:])), sigma)
+    _check_packed_index(near, queries, 13)
