@@ -477,9 +477,9 @@ class TrieIndex:
         numpy call; long ones by ``np.packbits``, which stays linear in ``L``.
         """
         if self.length <= 64:
-            value = 0
+            value, bits = 0, self.bits
             for symbol in key.tolist():
-                value = value << self.bits | symbol
+                value = value << bits | symbol
             return value << self._pad
         return int.from_bytes(np.packbits(key[:, None] & self._bit_masks).tobytes(), "big")
 
