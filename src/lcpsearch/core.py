@@ -170,8 +170,9 @@ def validate_query(q, length: int, sigma: int) -> np.ndarray:
     """Check a query against an index's length and alphabet; return its key.
 
     The key is a new big-endian (``>u2``) array: its bytes key the query
-    cache, and the index packs it like its rows.  Shared by every query engine, so all of them reject the
-    same inputs with the same :class:`InvalidInputError` messages.
+    cache, and the index packs it like its rows.  Shared by every query
+    engine, so all of them reject the same inputs with the same
+    :class:`InvalidInputError` messages.
     """
     arr = np.asarray(q)
     if arr.ndim != 1:
