@@ -62,7 +62,7 @@ unpacked row), which bounds packed keys of at most that width.  A query
 costs ``O(W log n)`` per side per depth searched, plus the rows it selects
 (and on the window entry, the insertion search and the compare); its
 scratch memory stays within a few times ``max(NEEDLE_CHUNK_BYTES, 2L)``
-bytes, and the index keeps ``L * b + 8W`` bytes of needle masks for it.  Strict and complete queries (``d0 = 0``) always take the window
+bytes.  Strict and complete queries (``d0 = 0``) always take the window
 entry: strict uses only the deepest tier, which the window usually holds,
 so searching the whole ladder would be wasted.  The TAL engine
 (:mod:`lcpsearch.tal`) is the walk stopped at its bucket depth, so it takes
@@ -117,8 +117,9 @@ NEEDLE_CHUNK_BYTES = 1 << 16
 # many rows of 2L bytes exceed NEEDLE_CHUNK_BYTES); tiers inside are not searched.
 WINDOW_ROWS = 16
 
-# Rows unpacked per step by the derived views: at most this many bytes of bits.
-UNPACK_CHUNK_BYTES = 1 << 22
+# Rows packed (build) or unpacked (derived views) per step: at most about this
+# many bytes of temporaries.
+CHUNK_BYTES = 1 << 22
 
 # Leading zero bits of each byte value; a zero byte gets a count past any key's bits.
 _LEADING_ZEROS = np.array([1 << 30] + [8 - v.bit_length() for v in range(1, 256)], np.int32)
@@ -180,43 +181,50 @@ def _pack_words(rows: np.ndarray, bits: int) -> np.ndarray:
     ``key_width`` bytes of their big-endian bytes are the row's key.  A group
     of ``g = 64 / gcd(bits, 64)`` symbols fills whole words, so the loop runs
     over at most 64 symbol slots, each a column operation over every group.
+    Rows are packed a chunk at a time, so the temporaries stay within about
+    ``CHUNK_BYTES`` beside the words.
     """
     n, length = rows.shape
     g = 64 // math.gcd(bits, 64)
     groups = -(-length // g)
-    if groups == 1:
-        x = rows[:, None, :]
-    elif length % g:
-        x = np.zeros((n, groups * g), dtype=rows.dtype)
-        x[:, :length] = rows
-        x = x.reshape(n, groups, g)
-    else:
-        x = rows.reshape(n, groups, g)
     per_group = bits * g // 64
     words = np.zeros((n, groups, per_group), dtype=np.uint64)
-    for k in range(min(g, length)):
-        w, start = divmod(k * bits, 64)
-        end = start + bits
-        col = x[:, :, k].astype(np.uint64)
-        if end <= 64:
-            words[:, :, w] |= col << np.uint64(64 - end)
-        else:
-            words[:, :, w] |= col >> np.uint64(end - 64)
-            words[:, :, w + 1] |= col << np.uint64(128 - end)
+    step = max(1, CHUNK_BYTES // (8 * groups * g))
+    for i in range(0, n, step):
+        part = words[i : i + step]
+        x = np.zeros((part.shape[0], groups * g), dtype=rows.dtype)
+        x[:, :length] = rows[i : i + step]
+        x = x.reshape(-1, groups, g)
+        for k in range(min(g, length)):
+            w, start = divmod(k * bits, 64)
+            end = start + bits
+            col = x[:, :, k].astype(np.uint64)
+            if end <= 64:
+                part[:, :, w] |= col << np.uint64(64 - end)
+            else:
+                part[:, :, w] |= col >> np.uint64(end - 64)
+                part[:, :, w + 1] |= col << np.uint64(128 - end)
     return words.reshape(n, groups * per_group)
 
 
 def _word_bytes(words: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` big-endian bytes of each row of ``words``: C-contiguous keys."""
-    return np.ascontiguousarray(words.astype(">u8").view(np.uint8)[:, :width])
+    """The first ``width`` big-endian bytes of each row of ``words``: C-contiguous keys.
+
+    ``words`` is byte-swapped in place and must not be read as integers
+    afterwards; the keys are a view of it when ``width`` fills whole words,
+    so the key bytes are held once, not twice.
+    """
+    if words.dtype != np.dtype(">u8"):
+        words.byteswap(inplace=True)
+    return np.ascontiguousarray(words.view(np.uint8)[:, :width])
 
 
 def _unpacked(keys: np.ndarray, bits: int, columns: int):
     """The first ``columns`` symbols of each packed key as uint16 rows: ``(offset, rows)`` chunks.
 
-    Each chunk spreads at most ``UNPACK_CHUNK_BYTES`` bytes of bits.
+    Each chunk spreads at most ``CHUNK_BYTES`` bytes of bits.
     """
-    step = max(1, UNPACK_CHUNK_BYTES // (16 * columns))
+    step = max(1, CHUNK_BYTES // (16 * columns))
     for i in range(0, keys.shape[0], step):
         part = keys[i : i + step]
         m = part.shape[0]
@@ -404,12 +412,6 @@ class TrieIndex:
         self._raw = memoryview(keys.reshape(-1))
         self._width = int(keys.shape[1])
         self._pad = 8 * self._width - self.length * self.bits
-        self._bit_masks = (1 << np.arange(self.bits - 1, -1, -1)).astype(np.uint16)
-        # row o of the stairs is 8W bits whose first L*b - o are set: the bits
-        # a needle keeps of the key at depth L - o / b
-        stairs = np.zeros(self.length * self.bits + 8 * self._width, dtype=bool)
-        stairs[: self.length * self.bits] = True
-        self._stairs = np.lib.stride_tricks.sliding_window_view(stairs, 8 * self._width)
         self.c_sym = work_per_symbol(self.length)
 
     # -- structure ---------------------------------------------------------
@@ -435,7 +437,7 @@ class TrieIndex:
     def _adjacent_lcps(self, lo: int, hi: int) -> np.ndarray:
         """LCP of each row in ``(lo, hi)`` with the row before it, from XORs of their keys."""
         out = np.empty(max(0, hi - lo - 1), dtype=np.int32)
-        step = max(1, UNPACK_CHUNK_BYTES // (4 * self.keys.shape[1]))
+        step = max(1, CHUNK_BYTES // (4 * self.keys.shape[1]))
         for i in range(lo, hi - 1, step):
             j = min(hi - 1, i + step)
             x = self.keys[i + 1 : j + 1] ^ self.keys[i:j]
@@ -473,15 +475,11 @@ class TrieIndex:
     def _pack_key(self, key: np.ndarray) -> int:
         """A validated ``>u2`` query key packed like the rows, as an int of ``8W`` bits.
 
-        Short keys are packed by integer shifts, which cost less than any
-        numpy call; long ones by ``np.packbits``, which stays linear in ``L``.
+        The low ``b`` bits of each 16-bit symbol are kept, most significant
+        first, and zero-padded: a few numpy calls, linear in ``L``.
         """
-        if self.length <= 64:
-            value, bits = 0, self.bits
-            for symbol in key.tolist():
-                value = value << bits | symbol
-            return value << self._pad
-        return int.from_bytes(np.packbits(key[:, None] & self._bit_masks).tobytes(), "big")
+        fields = np.unpackbits(key.view(np.uint8)).reshape(-1, 16)[:, 16 - self.bits :]
+        return int.from_bytes(np.packbits(fields).tobytes(), "big")
 
     def _prefix_ranges(
         self, key: int, depths: range, a: int, b: int
@@ -491,20 +489,16 @@ class TrieIndex:
         ``key`` is packed and ``depths`` descends one at a time.  With its
         bits from ``t * b`` on cleared, ``key`` is the smallest key with that
         prefix, and with them set it is above the largest, so one
-        ``searchsorted`` per side finds every range.  The kept bits of each
-        depth are one row of the index's stairs, packed.  Each range must contain
+        ``searchsorted`` per side finds every range.  Each range must contain
         rows ``[a, b)``, so only the rows outside them are searched;
         ``a = n, b = 0`` searches them all.
         """
-        bits, width = self.bits, self._width
-        first_row = (self.length - depths[0]) * bits
-        kept = np.packbits(self._stairs[first_row : first_row + len(depths) * bits : bits], axis=1)
-        packed = np.frombuffer(key.to_bytes(width, "big"), dtype=np.uint8)
-        needles = np.empty((2, len(depths), width), dtype=np.uint8)
-        np.bitwise_and(kept, packed, out=needles[0])
-        np.invert(kept, out=kept)
-        np.bitwise_or(kept, packed, out=needles[1])
-        first, last = needles.view(self._search_keys.dtype)[..., 0]
+        width, dtype = self._width, self._search_keys.dtype
+        # bits from t * b on: the low 8W - t * b bits of the key
+        lows = [8 * width - t * self.bits for t in depths]
+        first = b"".join([(key >> s << s).to_bytes(width, "big") for s in lows])
+        last = b"".join([(key | (1 << s) - 1).to_bytes(width, "big") for s in lows])
+        first, last = np.frombuffer(first, dtype), np.frombuffer(last, dtype)
         starts = self._search_keys[:a].searchsorted(first, side="left")
         ends = self._search_keys[b:].searchsorted(last, side="right")
         if b:

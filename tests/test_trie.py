@@ -465,3 +465,27 @@ def test_packed_lcps_are_exact_for_all_ones_xors(sigma, length):
     # only the longest runs, so that the zero query's window compare meets them
     near = Dataset.from_rows(np.concatenate((rows[:1], rows[-12:])), sigma)
     _check_packed_index(near, queries, 13)
+
+
+@pytest.mark.parametrize("sigma, length", [(4, 16), (3, 33), (5, 30), (300, 7), (65536, 17)])
+def test_build_packs_and_sorts_across_chunks(monkeypatch, sigma, length):
+    # a few rows per chunk, so packing, unpacking and the XOR LCPs cross many chunk edges
+    from lcpsearch.core import adjacent_lcp
+
+    monkeypatch.setattr(trie, "CHUNK_BYTES", 1 << 9)
+    rng = np.random.default_rng(length)
+    pool = rng.integers(0, sigma, size=(20, length))
+    ds = Dataset.from_rows(pool[rng.integers(0, len(pool), size=200)], sigma)
+    index = build(ds)
+    bits = trie.symbol_bits(sigma)
+    width = trie.key_width(length, bits)
+    keys = [
+        sum(int(s) << 8 * width - (j + 1) * bits for j, s in enumerate(row)).to_bytes(width, "big")
+        for row in ds.items
+    ]
+    order = sorted(range(ds.n), key=keys.__getitem__)
+    assert index.order.tolist() == order
+    assert [bytes(key) for key in index.keys] == [keys[i] for i in order]
+    assert np.array_equal(index.rows, ds.items[index.order])
+    assert np.array_equal(index._adjacent_lcps(0, ds.n), adjacent_lcp(ds.items[index.order]))
+    index.check_invariants()
