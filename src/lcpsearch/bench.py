@@ -111,11 +111,6 @@ class MemoryEstimate:
     def materialization_display(self) -> str:
         return format_byte_size(self.materialization_bytes)
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["materialization_display"] = self.materialization_display
-        return d
-
 
 def memory_wall(n: int, budget_bytes: int = DEFAULT_BUDGET_BYTES, index_bytes: int | None = None) -> MemoryEstimate:
     """Exact pairwise-materialization size ``n*n*2`` bytes against a budget."""

@@ -45,6 +45,7 @@ from .storage import (
     ingest_text,
     read_dataset,
     read_index,
+    read_text,
     read_vocab,
     write_dataset,
     write_index,
@@ -122,10 +123,9 @@ def cmd_query(args) -> int:
     if args.query is not None:
         queries.append(_parse_query_line(args.query, "<arg>", vocab))
     if args.query_file is not None:
-        with open(args.query_file, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    queries.append(_parse_query_line(line, lineno, vocab))
+        for lineno, line in enumerate(read_text(args.query_file), start=1):
+            if line.strip():
+                queries.append(_parse_query_line(line, lineno, vocab))
     if not queries:
         raise ConfigError("no query given: use --query or --query-file")
 
@@ -210,30 +210,29 @@ def parse_scenario_config(path: str) -> ScenarioConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if ":" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key: value', found {text!r}")
-            key, _, raw = text.partition(":")
-            key = key.strip()
-            if key in _CONFIG_IGNORED:
-                continue
-            canonical = _CONFIG_ALIASES.get(key, key)
-            if canonical not in _CONFIG_FIELDS:
-                print(f"warning: {path}:{lineno}: ignoring unknown key {key!r}", file=sys.stderr)
-                continue
-            if canonical == "mode" and raw.strip() not in ("strict", "complete"):
-                # upstream configs use 'mode' for the execution backend name
-                continue
-            try:
-                values[canonical] = _parse_config_value(canonical, raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: cannot parse value {raw.strip()!r} for {key!r}"
-                ) from None
+    for lineno, line in enumerate(read_text(path, ConfigError), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if ":" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key: value', found {text!r}")
+        key, _, raw = text.partition(":")
+        key = key.strip()
+        if key in _CONFIG_IGNORED:
+            continue
+        canonical = _CONFIG_ALIASES.get(key, key)
+        if canonical not in _CONFIG_FIELDS:
+            print(f"warning: {path}:{lineno}: ignoring unknown key {key!r}", file=sys.stderr)
+            continue
+        if canonical == "mode" and raw.strip() not in ("strict", "complete"):
+            # upstream configs use 'mode' for the execution backend name
+            continue
+        try:
+            values[canonical] = _parse_config_value(canonical, raw)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: cannot parse value {raw.strip()!r} for {key!r}"
+            ) from None
     if "scenario" not in values:
         raise ConfigError(f"{path}: missing required key 'scenario' (one of {SCENARIOS})")
     if "seed" not in values:
@@ -301,6 +300,12 @@ def _verify_dataset(dataset, k_values, query_count, seed) -> list[tuple[str, boo
                                dataset.length // 2 if dataset.n else None)
     engine = TalEngine(index, min(16, dataset.alphabet.size))
     full_engine = TalEngine(index, 1)
+    # each row's bucket, coded from its first bucket_depth raw symbols
+    weights = dataset.alphabet.size ** np.arange(engine.bucket_depth - 1, -1, -1, dtype=np.int64)
+    histogram = np.bincount(
+        dataset.items[:, : engine.bucket_depth] @ weights, minlength=engine.bucket_count
+    )
+    ok_partition = np.array_equal(engine.bucket_sizes(), histogram)
     ok_complete = ok_strict = ok_tal = ok_bucket = ok_work = True
     for i, q in enumerate(queries):
         k = k_values[i % len(k_values)]
@@ -324,14 +329,14 @@ def _verify_dataset(dataset, k_values, query_count, seed) -> list[tuple[str, boo
             ok_bucket = False
         if rep.items_scanned != hi - lo:
             ok_work = False
+        if hi - lo != histogram[q[: engine.bucket_depth] @ weights]:
+            ok_partition = False
     checks.append(("complete mode equals exhaustive scan", ok_complete))
     checks.append(("strict mode is an exhaustive-scan prefix", ok_strict))
     checks.append(("single-bucket scan equals exhaustive scan", ok_tal))
     checks.append(("bucketed scan is an exhaustive-scan prefix", ok_bucket))
     checks.append(("per-query work bounds", ok_work))
-
-    sizes = engine.bucket_sizes()
-    checks.append(("bucket ranges partition the dataset", int(sizes.sum()) == dataset.n))
+    checks.append(("bucket ranges partition the dataset", ok_partition))
     return checks
 
 
@@ -419,10 +424,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidInputError, InvalidStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (InvalidInputError, InvalidStateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InternalInvariantError as exc:

@@ -98,9 +98,7 @@ def _generate_distinct(rng, n, length, sigma, universe):
     if n == 0:
         return np.empty((0, length), dtype=SYMBOL_DTYPE)
     enumerable = length * np.log2(sigma) <= _MAX_ENUMERABLE_BITS
-    if enumerable and n == universe:
-        codes = rng.permutation(np.arange(universe, dtype=np.int64))
-        return _codes_to_rows(codes, length, sigma)
+    # Dense regime, the full universe included: a prefix of one permutation.
     if enumerable and universe <= 4 * n:
         codes = rng.permutation(np.arange(universe, dtype=np.int64))[:n]
         return _codes_to_rows(codes, length, sigma)

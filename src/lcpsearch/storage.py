@@ -6,7 +6,7 @@ files.
 
 Dataset file (magic ``LCPD``, version 1)::
 
-    magic[4] version:u16 symbol_width:u8 reserved:u8
+    magic[4] version:u16 symbol_width:u8 reserved:u8     (reserved must be 0)
     n:u64 length:u32 sigma:u32
     symbols: n * length * u16 little-endian, row-major
 
@@ -35,11 +35,13 @@ encoding of its index.  Version 1 (one record per trie node) and version 2
 
 Text ingestion maps whitespace-separated tokens to integer ids in
 first-occurrence order and emits the vocabulary alongside, one token per
-line (line number = id).
+line (line number = id).  Text files must be UTF-8: one that is not is
+refused, naming the offset of its first bad byte (:func:`read_text`).
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
@@ -90,13 +92,15 @@ def read_dataset(path: str) -> Dataset:
         head = fh.read(_DATASET_HEADER.size)
         if len(head) < _DATASET_HEADER.size:
             raise InvalidInputError(f"{path}: truncated dataset header")
-        magic, version, sym_w, _, n, length, sigma = _DATASET_HEADER.unpack(head)
+        magic, version, sym_w, reserved, n, length, sigma = _DATASET_HEADER.unpack(head)
         if magic != DATASET_MAGIC:
             raise InvalidInputError(f"{path}: not a dataset file (bad magic {magic!r})")
         if version != DATASET_VERSION:
             raise InvalidInputError(f"{path}: unsupported dataset version {version}")
         if sym_w != 2:
             raise InvalidInputError(f"{path}: unsupported symbol width {sym_w}")
+        if reserved:
+            raise InvalidInputError(f"{path}: nonzero reserved header byte {reserved:#04x}")
         expected = _DATASET_HEADER.size + n * length * 2
         found = os.fstat(fh.fileno()).st_size
         if found != expected:
@@ -120,6 +124,20 @@ def read_dataset(path: str) -> Dataset:
 # Text ingestion
 # ---------------------------------------------------------------------------
 
+def read_text(path: str, error: type[Exception] = InvalidInputError) -> io.StringIO:
+    """The lines of a UTF-8 text file, split and newline-translated as a text-mode file's.
+
+    Invalid UTF-8 raises ``error`` naming the file and the offset of the
+    first byte that does not decode.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: invalid UTF-8 at byte {exc.start} ({exc.reason})") from None
+
+
 def ingest_text(path: str) -> tuple[Dataset, list[str]]:
     """Read one whitespace-separated token sequence per line.
 
@@ -131,19 +149,18 @@ def ingest_text(path: str) -> tuple[Dataset, list[str]]:
     vocab: dict[str, int] = {}
     rows: list[list[int]] = []
     length: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if length is None:
-                length = len(tokens)
-            elif len(tokens) != length:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: expected {length} tokens per line, found {len(tokens)}"
-                )
-            row = [vocab.setdefault(tok, len(vocab)) for tok in tokens]
-            rows.append(row)
+    for lineno, line in enumerate(read_text(path), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if length is None:
+            length = len(tokens)
+        elif len(tokens) != length:
+            raise InvalidInputError(
+                f"{path}:{lineno}: expected {length} tokens per line, found {len(tokens)}"
+            )
+        row = [vocab.setdefault(tok, len(vocab)) for tok in tokens]
+        rows.append(row)
     ordered = sorted(vocab, key=vocab.get)
     if length is None:
         return (
@@ -163,11 +180,7 @@ def write_vocab(path: str, vocab: list[str]) -> None:
 
 
 def read_vocab(path: str) -> dict[str, int]:
-    mapping: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            mapping[line.rstrip("\n")] = i
-    return mapping
+    return {line.rstrip("\n"): i for i, line in enumerate(read_text(path))}
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 The engine serves from the sorted, packed rows of a :class:`~lcpsearch.trie.TrieIndex`
 (stable lexicographic order; ties keep item order), partitioned into
 ``sigma**d`` buckets by the first ``d`` symbols, where ``d`` is the smallest
-depth giving at least the requested bucket count.  It stores nothing of its
-own, so any number of engines share one sort.  A query's bucket is the
-contiguous range of rows sharing its first ``d`` symbols, and only that range
-is answered from.
+depth giving at least the requested bucket count.  It holds the index, ``d``
+and the bucket count, and reads everything else from the index, so any
+number of engines share one sort.  A query's bucket is the contiguous range
+of rows sharing its first ``d`` symbols, and only that range is answered
+from.
 
 The bucket itself is not scanned.  A query runs the trie's tier walk
 (:meth:`~lcpsearch.trie.TrieIndex._tiers`) stopped at the bucket depth: the
@@ -15,16 +16,16 @@ the ranges for ``t = D, D-1, ..., d`` are nested tiers of equal LCP, the last
 of which is the bucket.  When the ladder of depths ``L..d`` is no longer than
 the trie's window is wide (at most ``WINDOW_ROWS``; any ``d >= 1`` at
 ``L = 16``), all of its ranges come from one batched binary search over the
-index, two ``searchsorted`` calls in all, which also give the insertion
-point.  Longer ladders, and ``d = 0`` (one bucket) as in the trie's strict
-and complete modes, read the tiers inside the rows around the insertion
-point off a compare of at most ``2 * WINDOW_ROWS`` rows, and search the
-rest, the bucket among them.  The top-k is selected tier by tier, as in the
-trie's complete mode.  A query costs O(W log n) per depth searched, for keys
-of ``W`` bytes (:mod:`lcpsearch.trie`), plus the
-rows it selects, and its scratch memory stays within a few times
-``max(trie.NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever the bucket size.
-:meth:`TalEngine.bucket_range` searches the bucket's depth alone.
+index, two ``searchsorted`` calls in all.  Longer ladders, and ``d = 0`` (one
+bucket) as in the trie's strict and complete modes, locate the insertion
+point, read the tiers inside the rows around it off a compare of at most
+``2 * WINDOW_ROWS`` rows, and search the rest, the bucket among them.  The
+top-k is selected tier by tier, as in the trie's complete mode.  A query
+costs O(W log n) per depth searched, for keys of ``W`` bytes
+(:mod:`lcpsearch.trie`), plus the rows it selects, and its scratch memory
+stays within a few times ``max(trie.NEEDLE_CHUNK_BYTES, 2L)`` bytes whatever
+the bucket size.  :meth:`TalEngine.bucket_range` searches the bucket's depth
+alone.
 
 The work units still model a scan of the whole bucket: ``items_scanned`` is
 the bucket size and ``symbols_compared`` is ``sum(min(lcp + 1, L))`` over the
@@ -71,15 +72,9 @@ class TalEngine:
                 f"bucket count {bucket_count} needs prefix depth beyond the "
                 f"sequence length {length} (alphabet {sigma})"
             )
-        depth = _prefix_depth(sigma, bucket_count)
-
         self.index = index
-        self.n = index.n
-        self.length = length
-        self.sigma = sigma
-        self.bucket_depth = depth
-        self.bucket_count = sigma**depth
-        self.c_sym = index.c_sym
+        self.bucket_depth = _prefix_depth(sigma, bucket_count)
+        self.bucket_count = sigma**self.bucket_depth
 
     @property
     def nbytes(self) -> int:
@@ -87,14 +82,14 @@ class TalEngine:
         return self.index.nbytes
 
     def new_work_report(self) -> WorkReport:
-        return WorkReport(c_sym=self.c_sym)
+        return self.index.new_work_report()
 
     def bucket_range(self, q) -> tuple[int, int]:
         """Row range of the query's prefix bucket: one search per side over the index."""
         index = self.index
-        key = index._pack_key(validate_query(q, self.length, self.sigma))
+        key = index._pack_key(validate_query(q, index.length, index.sigma))
         depth = self.bucket_depth
-        starts, ends = index._prefix_ranges(key, range(depth, depth - 1, -1), self.n, 0)
+        starts, ends = index._prefix_ranges(key, range(depth, depth - 1, -1))
         return int(starts[0]), int(ends[0])
 
     def bucket_sizes(self) -> np.ndarray:
@@ -107,11 +102,12 @@ class TalEngine:
             raise InvalidInputError(
                 f"{self.bucket_count} buckets exceed the listing limit of {MAX_LISTED_BUCKETS}"
             )
-        codes = np.zeros(self.n, dtype=np.int64)
+        index = self.index
+        codes = np.zeros(index.n, dtype=np.int64)
         if self.bucket_depth:
-            prefixes = self.index._rows(0, self.n, self.bucket_depth)  # unpacked once
+            prefixes = index._rows(0, index.n, self.bucket_depth)  # unpacked once
             for j in range(self.bucket_depth):
-                codes = codes * self.sigma + prefixes[:, j]
+                codes = codes * index.sigma + prefixes[:, j]
         return np.bincount(codes, minlength=self.bucket_count)
 
     def query(self, q, k: int, work: WorkReport | None = None) -> tuple[QueryResult, WorkReport]:
@@ -123,18 +119,18 @@ class TalEngine:
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
         index = self.index
-        mid, tiers = index._tiers(validate_query(q, self.length, self.sigma), self.bucket_depth)
-        tiers = list(tiers)
+        key = validate_query(q, index.length, index.sigma)
+        tiers = list(index._tiers(key, self.bucket_depth))
         # the bucket is the last tier; the work model charges each of its rows
         # min(lcp + 1, L) symbol comparisons
         scanned = symbols = 0
         for t, s, e in tiers:
-            symbols += (e - s - scanned) * min(t + 1, self.length)
+            symbols += (e - s - scanned) * min(t + 1, index.length)
             scanned = e - s
         report = WorkReport(
-            c_sym=self.c_sym, symbols_compared=symbols, items_scanned=scanned, queries=1
+            c_sym=index.c_sym, symbols_compared=symbols, items_scanned=scanned, queries=1
         )
-        indices, lcps = index._select(tiers, mid, k)
+        indices, lcps = index._select(tiers, k)
         if work is not None:
             work.symbols_compared += report.symbols_compared
             work.items_scanned += report.items_scanned

@@ -37,21 +37,22 @@ Query path
 A query is validated as a ``>u2`` key (:func:`lcpsearch.core.validate_query`)
 and packed like a row.  The rows sharing the query's first ``t`` symbols form
 one contiguous range containing its insertion point (the first row not below
-it), and the ranges for ``t = D, D-1, ...`` are nested tiers of equal LCP,
-walked deepest first and taken from by one selection loop.  The walk can stop
-at a depth ``d0``: its last tier is then the range of rows sharing ``d0``
-symbols.  A range is found by binary search with the packed query whose bits
-from ``t * b`` on are cleared (left end) or set (right end), the classic
-suffix-array technique; all-ones fields exceed every symbol, so right ends
-stay exact when ``sigma`` is not a power of two.  A row's LCP with the query
-is the first set bit of their XOR, divided by ``b``, exact at any width
-because both are read as Python ints.  The walk has two entries:
+it), and the ranges for ``t = D, D-1, ...`` are nested tiers of equal LCP.
+The walk yields these tiers deepest first, as ``(depth, start, end)`` and
+nothing else, and one selection loop takes all of the first tier and the new
+rows of each later one.  The walk can stop at a depth ``d0``: its last tier
+is then the range of rows sharing ``d0`` symbols.  A range is found by binary
+search over the whole index with the packed query whose bits from ``t * b``
+on are cleared (left end) or set (right end), the classic suffix-array
+technique; all-ones fields exceed every symbol, so right ends stay exact
+when ``sigma`` is not a power of two.  A row's LCP with the query is the
+first set bit of their XOR, divided by ``b``, exact at any width because
+both are read as Python ints, one row at a time as the walk reaches it.
+The walk has two entries:
 
 - a short ladder stopped above the root, ``d0 >= 1`` and ``L - d0 + 1``
   depths no more than the window is wide (``w``, at most ``WINDOW_ROWS``),
-  searches every depth ``L..d0`` in one batch over the whole index; the
-  left end of the depth-``L`` range is the insertion point, so nothing
-  else is searched;
+  searches every depth ``L..d0`` in one batch, and nothing else;
 - any other walk first binary-searches the insertion point, reads off the
   tiers inside the ``2w`` rows around it by comparing them one by one
   outward from it, only as far as the tiers taken reach, and searches only
@@ -245,22 +246,21 @@ def _xor_lcps(x: np.ndarray, bits: int, length: int) -> np.ndarray:
     return np.minimum(first.min(axis=1) // bits, length)
 
 
-def _row_lcps(index: "TrieIndex", lo: int, hi: int, key: int):
-    """LCPs of rows ``[lo, hi)`` with the packed ``key``, read lazily.
+def _row_lcps(index: "TrieIndex", key: int):
+    """LCPs of the sorted rows with the packed ``key``, read on demand.
 
     Returns a function of a row number: its LCP, the first set bit of its
-    key XOR ``key`` divided by ``b``, or -1 outside the rows.  Each row is
-    read as one Python int, so a walk pays only for the rows it reads.
+    key XOR ``key`` divided by ``b``, or -1 outside ``[0, n)``.  Each row is
+    read as one Python int when asked for, so a walk pays only for the rows
+    it reads.
     """
-    width, pad, bits = index._width, index._pad, index.bits
+    raw, n, width, pad, bits = index._raw, index.n, index._width, index._pad, index.bits
     top = index.length * bits
-    rows = index._raw[lo * width : hi * width].tobytes()
 
     def lcp(i: int) -> int:
-        if not lo <= i < hi:
+        if not 0 <= i < n:
             return -1
-        j = (i - lo) * width
-        row = int.from_bytes(rows[j : j + width], "big")
+        row = int.from_bytes(raw[i * width : (i + 1) * width], "big")
         return (top - ((row ^ key) >> pad).bit_length()) // bits
 
     return lcp
@@ -481,51 +481,51 @@ class TrieIndex:
         fields = np.unpackbits(key.view(np.uint8)).reshape(-1, 16)[:, 16 - self.bits :]
         return int.from_bytes(np.packbits(fields).tobytes(), "big")
 
-    def _prefix_ranges(
-        self, key: int, depths: range, a: int, b: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _prefix_ranges(self, key: int, depths: range) -> tuple[np.ndarray, np.ndarray]:
         """Row range of the rows sharing ``t`` symbols with ``key``, for each t in ``depths``.
 
         ``key`` is packed and ``depths`` descends one at a time.  With its
         bits from ``t * b`` on cleared, ``key`` is the smallest key with that
         prefix, and with them set it is above the largest, so one
-        ``searchsorted`` per side finds every range.  Each range must contain
-        rows ``[a, b)``, so only the rows outside them are searched;
-        ``a = n, b = 0`` searches them all.
+        ``searchsorted`` per side over the whole index finds every range.
         """
         width, dtype = self._width, self._search_keys.dtype
         # bits from t * b on: the low 8W - t * b bits of the key
         lows = [8 * width - t * self.bits for t in depths]
         first = b"".join([(key >> s << s).to_bytes(width, "big") for s in lows])
         last = b"".join([(key | (1 << s) - 1).to_bytes(width, "big") for s in lows])
-        first, last = np.frombuffer(first, dtype), np.frombuffer(last, dtype)
-        starts = self._search_keys[:a].searchsorted(first, side="left")
-        ends = self._search_keys[b:].searchsorted(last, side="right")
-        if b:
-            ends += b
-        return starts, ends
+        return (
+            self._search_keys.searchsorted(np.frombuffer(first, dtype), side="left"),
+            self._search_keys.searchsorted(np.frombuffer(last, dtype), side="right"),
+        )
 
     def _tiers(self, key: np.ndarray, d0: int):
-        """The query's insertion point and its equal-LCP tiers down to depth ``d0``.
+        """The query's equal-LCP tiers down to depth ``d0``, deepest first.
 
-        ``key`` is a validated ``>u2`` query key, packed here.  Returns
-        ``(mid, tiers)``: ``mid`` is the first row not below the key, and
-        ``tiers`` iterates deepest
-        first over ``(depth, start, end)``: rows ``[start, end)`` share at
-        least ``depth`` symbols with the query, and the rows a tier adds to
-        the one before it share exactly ``depth``.  It yields nothing when no
-        row shares ``d0`` symbols; otherwise its last tier is the range of
-        rows sharing ``d0`` symbols.
+        ``key`` is a validated ``>u2`` query key, packed here.  Yields
+        ``(depth, start, end)``: rows ``[start, end)`` share at least
+        ``depth`` symbols with the query, and the rows a tier adds to the one
+        before it share exactly ``depth``.  Every tier contains the query's
+        insertion point (the first row not below it).  Nothing is yielded
+        when no row shares ``d0`` symbols; otherwise the last tier is the
+        range of rows sharing ``d0`` symbols.
 
         When ``d0 >= 1`` and the ladder of depths ``L..d0`` is no longer than
         the window ``w = min(WINDOW_ROWS, NEEDLE_CHUNK_BYTES / 2L)`` is wide,
-        every depth of it is searched in one batch over the whole index: the
-        left end of the depth-``L`` range is ``mid``, and depths no row
-        reaches give empty ranges at ``mid``, which are skipped.  Other walks
-        take the window walk of :meth:`_window_tiers`, which locates ``mid``
-        first.  Walks to the root (strict and complete, ``d0 = 0``) stay on
-        the window even when ``L < w``: strict keeps only the deepest tier,
-        which the window usually answers without a search.
+        every depth of it is searched in one batch over the whole index, and
+        the empty ranges of depths no row reaches are skipped.  Any other
+        walk binary-searches the insertion point first.  The window is the
+        rows within ``w`` of it, compared one by one as the walk reaches
+        them.  Their LCPs never decrease toward the insertion point, so each
+        tier deeper than ``c``, the larger LCP of the window-edge rows that
+        have a neighbour outside the window, lies inside it and is read off
+        by walking outward, one row past each tier.  From depth ``c`` the
+        ranges of up to ``step`` depths are searched at a time; each later
+        batch starts at the LCP of the rows just outside the last range, and
+        the walk stops after the batch that reaches ``d0``.  Walks to the
+        root (strict and complete, ``d0 = 0``) stay on the window even when
+        ``L < w``: strict keeps only the deepest tier, which the window
+        usually answers without a search.
 
         The ladder limit is tied to the window width on purpose, so there is
         one tuning value: it is a conservative bound below the crossover
@@ -533,40 +533,24 @@ class TrieIndex:
         B = 64), past which the window walk is faster.  A change to
         ``WINDOW_ROWS`` moves both, and should re-measure both.
         """
-        length = self.length
+        n, length = self.n, self.length
         key = self._pack_key(key)
         # sized as for unpacked 2L-byte rows, which no packed key exceeds
         step = max(1, NEEDLE_CHUNK_BYTES // (2 * length))
         w = min(WINDOW_ROWS, step)
         if d0 and length - d0 + 1 <= w:
             depths = range(length, d0 - 1, -1)
-            starts, ends = self._prefix_ranges(key, depths, self.n, 0)
+            starts, ends = self._prefix_ranges(key, depths)
             mid = int(starts[0])
-            return mid, _new_ranges(depths, starts, ends, mid, mid)
+            yield from _new_ranges(depths, starts, ends, mid, mid)
+            return
         needle = np.frombuffer(key.to_bytes(self._width, "big"), self._search_keys.dtype)
-        mid = int(self._search_keys.searchsorted(needle)[0])
-        return mid, self._window_tiers(key, mid, d0, w, step)
-
-    def _window_tiers(self, key: int, mid: int, d0: int, w: int, step: int):
-        """The tiers of :meth:`_tiers`, read off the rows around ``mid`` first.
-
-        ``key`` is packed.  The window is the rows within ``w`` of ``mid``,
-        read as one block and compared row by row as the walk reaches them.
-        Their LCPs never decrease toward ``mid``, so each tier deeper than
-        ``c``, the larger LCP of the window-edge rows that have a neighbour
-        outside the window, lies inside it and is read off by walking
-        outward from ``mid``, one row past each tier.  From
-        depth ``c`` the ranges of up to ``step`` depths are searched at a
-        time, past the rows taken; each later batch starts at the LCP of the
-        rows just outside.  The walk stops after the batch that reaches ``d0``.
-        """
-        n = self.n
-        lo, hi = max(0, mid - w), min(n, mid + w)
-        lcp = _row_lcps(self, lo, hi, key)
+        a = b = int(self._search_keys.searchsorted(needle)[0])
+        lcp = _row_lcps(self, key)
+        lo, hi = max(0, a - w), min(n, a + w)
         # rows outside the window share at most c symbols with the query
         c = max(lcp(lo) if lo > 0 else -1, lcp(hi - 1) if hi < n else -1)
         floor = max(c, d0 - 1)
-        a = b = mid
         below, above = lcp(a - 1), lcp(b)
         depth = max(below, above)
         while depth > floor:
@@ -581,29 +565,30 @@ class TrieIndex:
         depth = c
         while depth >= d0:
             depths = range(depth, max(d0 - 1, depth - step), -1)
-            starts, ends = self._prefix_ranges(key, depths, a, b)
+            starts, ends = self._prefix_ranges(key, depths)
             if (starts[0], ends[0]) == (a, b):
                 raise InternalInvariantError(f"no row found sharing {depth} symbols")
             yield from _new_ranges(depths, starts, ends, a, b)
             a, b = int(starts[-1]), int(ends[-1])
-            outside = [i for i in (a - 1, b) if 0 <= i < n]
-            if depths[-1] == d0 or not outside:
+            if depths[-1] == d0:
                 return
-            depth = max(_row_lcps(self, i, i + 1, key)(i) for i in outside)
+            depth = max(lcp(a - 1), lcp(b))
 
-    def _select(self, tiers, mid: int, need: int) -> tuple[np.ndarray, np.ndarray]:
+    def _select(self, tiers, need: int) -> tuple[np.ndarray, np.ndarray]:
         """Up to ``need`` hits taken tier by tier from ``tiers``: (indices, lcps).
 
         Each tier contributes its new rows, those outside the tier before it
-        (the first tier's "before" is the empty range at ``mid``), selected
-        by ascending item index.  Tiers are consumed only until ``need`` hits
-        are taken.  Indices have the dtype of ``order`` on every path.
+        (all rows of the first tier), selected by ascending item index.
+        Tiers are consumed only until ``need`` hits are taken.  Indices have
+        the dtype of ``order`` on every path.
         """
         order = self.order
         picked, depths, takes = [], [], []
         got = 0
-        a = b = mid
+        a = b = None
         for t, s, e in tiers:
+            if a is None:
+                a = b = s
             take = min(need - got, (a - s) + (e - b))
             if s == a:
                 new = order[b:e]
@@ -627,7 +612,7 @@ class TrieIndex:
 
     def descend(self, q) -> tuple[TrieNodeView, int]:
         """Deepest node whose path matches a prefix of ``q``, and its depth."""
-        _, tiers = self._tiers(validate_query(q, self.length, self.sigma), 0)
+        tiers = self._tiers(validate_query(q, self.length, self.sigma), 0)
         depth, lo, hi = next(tiers, (0, 0, self.n))
         return TrieNodeView(self, depth, lo, hi), depth
 
@@ -663,10 +648,10 @@ class TrieIndex:
             raise InvalidInputError(f"mode must be 'strict' or 'complete', got {mode!r}")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        mid, tiers = self._tiers(key, 0)
+        tiers = self._tiers(key, 0)
         if mode == "strict":
             tiers = itertools.islice(tiers, 1)
-        indices, lcps = self._select(tiers, mid, min(k, self.n))
+        indices, lcps = self._select(tiers, min(k, self.n))
         depth = int(lcps[0]) if lcps.size else 0
         if work is not None:
             # counted as a node-by-node descent: one symbol per level entered,

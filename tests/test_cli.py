@@ -170,6 +170,45 @@ def test_text_pipeline_and_token_queries(tmp_path, capsys):
     assert "sideways" in err
 
 
+def test_token_dataset_with_invalid_utf8_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"up up down\nup \xff down\n")
+    code, _, err = run(capsys, "build", str(corpus), "-o", str(tmp_path / "i.lcpi"), "--text")
+    assert code == 3
+    assert "corpus.txt" in err and "byte 14" in err
+
+
+def test_vocab_with_invalid_utf8_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("up up down\nup down down\n")
+    out_path = str(tmp_path / "index.lcpi")
+    assert run(capsys, "build", str(corpus), "-o", out_path, "--text")[0] == 0
+    vocab = tmp_path / "bad.vocab"
+    vocab.write_bytes(b"up\ndo\xffwn\n")
+    code, _, err = run(capsys, "query", out_path, "--query", "up up down", "--vocab", str(vocab))
+    assert code == 3
+    assert "bad.vocab" in err and "byte 5" in err
+
+
+def test_query_file_with_invalid_utf8_is_data_error(dataset_file, tmp_path, capsys):
+    _, data_path = dataset_file
+    out_path = str(tmp_path / "index.lcpi")
+    run(capsys, "build", data_path, "-o", out_path)
+    qfile = tmp_path / "queries.txt"
+    qfile.write_bytes(b"0 1 2 3 0 1\n0 1 \xff 3 0 1\n")
+    code, _, err = run(capsys, "query", out_path, "--query-file", str(qfile))
+    assert code == 3
+    assert "queries.txt" in err and "byte 16" in err
+
+
+def test_bench_config_with_invalid_utf8_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"scenario: sustained\nseed: 1\n# caf\xe9\n")
+    code, _, err = run(capsys, "bench", str(config))
+    assert code == 2
+    assert "bad.cfg" in err and "byte 33" in err
+
+
 def test_memwall_table_row(capsys):
     code, out, _ = run(capsys, "memwall", "500000")
     assert code == 0
@@ -302,4 +341,24 @@ def test_verify_checks_tal_on_every_query(monkeypatch, capsys, depth_zero, check
     assert len(calls) > 1
     assert code == 4
     assert f"FAIL {check}" in out
+    assert "1 check(s) failed" in err
+
+
+def test_verify_checks_every_bucket_size(monkeypatch, capsys):
+    # one row moved between two buckets keeps the total right
+    from lcpsearch.tal import TalEngine
+
+    real = TalEngine.bucket_sizes
+
+    def moved_row(self):
+        sizes = real(self).copy()
+        sizes[0] -= 1
+        sizes[1] += 1
+        return sizes
+
+    monkeypatch.setattr(TalEngine, "bucket_sizes", moved_row)
+    code, out, err = run(capsys, "verify", "--n", "200", "--len", "8", "--sigma", "4",
+                         "--queries", "30", "--seed", "2")
+    assert code == 4
+    assert "FAIL bucket ranges partition the dataset" in out
     assert "1 check(s) failed" in err

@@ -52,6 +52,13 @@ def test_distinct_sparse_regime():
     assert len({row.tobytes() for row in ds.items}) == 500
 
 
+def test_distinct_dense_regime():
+    # n < sigma**L <= 4n: a prefix of one permutation of the universe
+    ds = generate_dataset(20, 6, 2, seed=11, distinct=True)
+    assert len({row.tobytes() for row in ds.items}) == 20
+    assert generate_dataset(20, 6, 2, seed=11, distinct=True).items.tobytes() == ds.items.tobytes()
+
+
 def test_clustered_skews_prefix_occupancy():
     uniform = generate_dataset(20_000, 12, 16, seed=3, distribution="uniform")
     clustered = generate_dataset(20_000, 12, 16, seed=3, distribution="clustered")

@@ -67,6 +67,18 @@ def test_dataset_reader_rejects_symbol_beyond_alphabet(tmp_path):
         read_dataset(str(path))
 
 
+def test_dataset_reader_rejects_a_nonzero_reserved_byte(tmp_path):
+    ds = generate_dataset(10, 4, 4, seed=2)
+    path = tmp_path / "data.lcpd"
+    write_dataset(str(path), ds)
+    raw = bytearray(path.read_bytes())
+    assert raw[7] == 0  # magic, version and symbol width come first
+    raw[7] = 0x5A
+    path.write_bytes(bytes(raw))
+    with pytest.raises(InvalidInputError, match="reserved"):
+        read_dataset(str(path))
+
+
 def test_text_ingestion_first_occurrence_vocab(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("cat dog cat\ndog dog bird\n")
@@ -286,6 +298,28 @@ def test_packed_fields_and_padding_are_checked_under_a_valid_crc():
     header_pad[22] = 1
     with pytest.raises(InvalidInputError, match="pad"):
         index_from_snapshot_bytes(_with_crc(bytes(header_pad)))
+    # sorted: [0, 4, 4] (item 1), then [2, 3, 0] (items 0 and 2); 2-byte keys, then order
+    ds = Dataset.from_rows([[2, 3, 0], [0, 4, 4], [2, 3, 0]], 5)
+    body = index_snapshot_bytes(build(ds))[:-4]
+    order_at = len(body) - 3 * 4
+    keys_at = order_at - 3 * 2
+    assert np.frombuffer(body, "<i4", 3, order_at).tolist() == [1, 0, 2]
+
+    def with_order(order, keys=None):
+        keys = body[keys_at:order_at] if keys is None else keys
+        return _with_crc(body[:keys_at] + keys + np.array(order, "<i4").tobytes())
+
+    first, second = keys_at, keys_at + 2
+    swapped = body[second : second + 2] + body[first:second] + body[second + 2 : order_at]
+    for raw, match in (
+        (with_order([1, 0, 0]), "not a permutation"),  # a duplicate item index
+        (with_order([1, 0, 3]), "not a permutation"),  # an item index equal to n
+        (with_order([0, 1, 2], swapped), "not in stable lexicographic order"),
+        (with_order([1, 2, 0]), "not in stable lexicographic order"),  # equal keys, 2 before 0
+    ):
+        with pytest.raises(InvalidInputError, match=match):
+            index_from_snapshot_bytes(raw)
+    assert index_from_snapshot_bytes(with_order([1, 0, 2])).order.tolist() == [1, 0, 2]
 
 
 @pytest.mark.parametrize("sigma", [3, 5])
