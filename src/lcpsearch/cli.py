@@ -65,18 +65,19 @@ EXIT_INTERNAL = 4
 # ---------------------------------------------------------------------------
 
 def _load_dataset(path: str, as_text: bool):
+    """The dataset at ``path`` and, read as token text, its vocabulary (else None)."""
     if not os.path.exists(path):
         raise InvalidInputError(f"dataset file not found: {path}")
     if as_text:
-        dataset, vocab = ingest_text(path)
-        write_vocab(path + ".vocab", vocab)
-        return dataset
-    return read_dataset(path)
+        return ingest_text(path)
+    return read_dataset(path), None
 
 
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
-    dataset = _load_dataset(args.dataset, args.text)
+    dataset, vocab = _load_dataset(args.dataset, args.text)
+    if vocab is not None:
+        write_vocab(args.dataset + ".vocab", vocab)
     index = build(dataset)
     snapshot_bytes = write_index(args.output, index)
     elapsed = time.perf_counter() - t0
@@ -133,7 +134,7 @@ def cmd_query(args) -> int:
     if args.verify_oracle:
         if not args.dataset:
             raise ConfigError("--verify-oracle needs --dataset to rescan the raw rows")
-        dataset = _load_dataset(args.dataset, args.text)
+        dataset, _ = _load_dataset(args.dataset, args.text)
         # a mismatch must mean a bug, so the oracle may only rescan the indexed rows
         rebuilt = build(dataset)
         if not (
@@ -342,7 +343,7 @@ def _verify_dataset(dataset, k_values, query_count, seed) -> list[tuple[str, boo
 
 def cmd_verify(args) -> int:
     if args.dataset:
-        dataset = _load_dataset(args.dataset, args.text)
+        dataset, _ = _load_dataset(args.dataset, args.text)
     else:
         dataset = generate_dataset(args.n, args.len, args.sigma, args.seed)
     checks = _verify_dataset(dataset, (1, 5, 50), args.queries, args.seed)

@@ -137,10 +137,6 @@ class Dataset:
     def n(self) -> int:
         return int(self.items.shape[0])
 
-    def validate_query(self, q) -> np.ndarray:
-        """Validate a query against this dataset's length and alphabet."""
-        return as_sequence(q, length=self.length, alphabet=self.alphabet)
-
 
 def lcp(s, t) -> int:
     """Length of the longest common prefix of two equal-length sequences.
@@ -171,8 +167,8 @@ def validate_query(q, length: int, sigma: int) -> np.ndarray:
 
     The key is a new big-endian (``>u2``) array: its bytes key the query
     cache, and the index packs it like its rows.  Shared by every query
-    engine, so all of them reject the same inputs with the same
-    :class:`InvalidInputError` messages.
+    engine and the oracle, so all of them reject the same inputs with the
+    same :class:`InvalidInputError` messages.
     """
     arr = np.asarray(q)
     if arr.ndim != 1:

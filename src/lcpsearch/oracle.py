@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, InvalidInputError
+from .core import Dataset, InvalidInputError, validate_query
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,7 @@ def oracle_top_k(dataset: Dataset, q, k: int) -> OracleResult:
     """Exact top-k by LCP over the whole dataset; always ``min(k, n)`` hits."""
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    query = dataset.validate_query(q)
+    query = validate_query(q, dataset.length, dataset.alphabet.size)
     lcps = _lcp_profile(dataset.items, query)
     n = dataset.n
     take = min(k, n)

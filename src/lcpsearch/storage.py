@@ -180,7 +180,15 @@ def write_vocab(path: str, vocab: list[str]) -> None:
 
 
 def read_vocab(path: str) -> dict[str, int]:
-    return {line.rstrip("\n"): i for i, line in enumerate(read_text(path))}
+    """Token to symbol id, one token per line; a repeated token is a data error naming its line."""
+    vocab: dict[str, int] = {}
+    for i, line in enumerate(read_text(path)):
+        token = line.rstrip("\n")
+        if vocab.setdefault(token, i) != i:
+            raise InvalidInputError(
+                f"{path}:{i + 1}: token {token!r} repeats line {vocab[token] + 1}"
+            )
+    return vocab
 
 
 # ---------------------------------------------------------------------------

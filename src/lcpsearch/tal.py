@@ -105,7 +105,7 @@ class TalEngine:
         index = self.index
         codes = np.zeros(index.n, dtype=np.int64)
         if self.bucket_depth:
-            prefixes = index._rows(0, index.n, self.bucket_depth)  # unpacked once
+            prefixes = index._rows(self.bucket_depth)  # unpacked once
             for j in range(self.bucket_depth):
                 codes = codes * index.sigma + prefixes[:, j]
         return np.bincount(codes, minlength=self.bucket_count)

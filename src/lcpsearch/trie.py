@@ -21,12 +21,11 @@ snapshot or report path reads them.
 The trie is implicit: because every item has the same length, the depth-``d``
 nodes are the maximal runs of rows that share their first ``d`` symbols (the
 lcp-intervals of the rows), so a node is fully described by its depth and
-its row range.  Its subtree size is the width of the range, its children are
-the runs of equal symbols in column ``d`` of the range, and its posting
-list, non-empty only at depth ``L``, is its slice of ``order``.  Node ids
-(level by level, within a level in sorted order), node counts and level
-offsets are derived on demand from the adjacent-LCP array, which the first
-set bit of each XOR of neighbouring keys gives; no query needs them.
+its row range, and its subtree size is the width of the range.  No build,
+query, snapshot or report path walks a node.  Only the node count is
+derived, from the adjacent-LCP array ``adj`` (the first set bit of each XOR
+of neighbouring keys): a depth-``d`` level holds ``1 + #{adj < d}`` nodes,
+so the trie has ``1 + L + sum(L - adj)`` of them, or 1 when ``n = 0``.
 
 Every byte of the structure is a pure function of the dataset: no hashing,
 no pointer addresses, no iteration-order dependence.  A built index is
@@ -118,8 +117,8 @@ NEEDLE_CHUNK_BYTES = 1 << 16
 # many rows of 2L bytes exceed NEEDLE_CHUNK_BYTES); tiers inside are not searched.
 WINDOW_ROWS = 16
 
-# Rows packed (build) or unpacked (derived views) per step: at most about this
-# many bytes of temporaries.
+# Rows packed (build), unpacked (inspection, bucket sizes, load checks) or
+# XOR-compared (node count) per step: at most about this many bytes of temporaries.
 CHUNK_BYTES = 1 << 22
 
 # Leading zero bits of each byte value; a zero byte gets a count past any key's bits.
@@ -288,69 +287,8 @@ class TrieNodeView:
     row_hi: int
 
     @property
-    def node_id(self) -> int:
-        """Breadth-first id (derived on demand; O(n L))."""
-        index = self.index
-        adj = index._adjacent_lcps(0, index.n)
-        first = level_offsets(adj, index.n, index.length)[self.depth]
-        return int(first + np.searchsorted(level_starts(adj, index.n, self.depth), self.row_lo))
-
-    @property
     def subtree_size(self) -> int:
         return self.row_hi - self.row_lo
-
-    @property
-    def edge_symbol(self) -> int | None:
-        if self.depth == 0:
-            return None
-        return int(self.index._rows(self.row_lo, self.row_lo + 1)[0, self.depth - 1])
-
-    @property
-    def posting(self) -> np.ndarray:
-        """Item indices ending at this node (non-empty only at full depth)."""
-        if self.depth != self.index.length:
-            return np.zeros(0, dtype=self.index.order.dtype)
-        return self.index.order[self.row_lo : self.row_hi]
-
-    def children(self) -> list["TrieNodeView"]:
-        """Child views in ascending edge-symbol order: the runs of column ``depth``.
-
-        Rows of the node share ``depth`` symbols, so a run ends where two
-        neighbours share no more.
-        """
-        if self.depth == self.index.length or self.row_lo == self.row_hi:
-            return []
-        adj = self.index._adjacent_lcps(self.row_lo, self.row_hi)
-        cuts = (self.row_lo + 1 + np.flatnonzero(adj <= self.depth)).tolist()
-        bounds = [self.row_lo, *cuts, self.row_hi]
-        return [
-            TrieNodeView(self.index, self.depth + 1, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-
-
-def level_starts(adj: np.ndarray, n: int, depth: int) -> np.ndarray:
-    """First row of each depth-``depth`` node, in id order.
-
-    ``adj`` is the adjacent-LCP array of the ``n`` sorted rows: a run of rows
-    sharing ``depth`` symbols starts at row 0 and after each LCP below ``depth``.
-    """
-    if n == 0 and depth:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(([0], np.flatnonzero(adj < depth) + 1))
-
-
-def level_offsets(adj: np.ndarray, n: int, length: int) -> np.ndarray:
-    """First node id of each depth ``0..length``, then the node count.
-
-    The same runs as :func:`level_starts`, counted by a histogram of ``adj``.
-    """
-    sizes = np.zeros(length + 1, dtype=np.int64)
-    sizes[0] = 1
-    if n:
-        below = np.cumsum(np.bincount(adj, minlength=length))
-        sizes[1:] = 1 + below[:length]
-    return np.concatenate(([0], np.cumsum(sizes)))
 
 
 def layout_defect(keys: np.ndarray, order: np.ndarray, sigma: int, length: int) -> str | None:
@@ -424,34 +362,32 @@ class TrieIndex:
     @property
     def rows(self) -> np.ndarray:
         """The sorted rows, unpacked from the keys on every access (O(n L); inspection only)."""
-        return self._rows(0, self.n)
+        return self._rows()
 
-    def _rows(self, lo: int, hi: int, columns: int | None = None) -> np.ndarray:
-        """The first ``columns`` (default all) symbols of rows ``[lo, hi)``, unpacked."""
+    def _rows(self, columns: int | None = None) -> np.ndarray:
+        """The first ``columns`` (default all) symbols of every sorted row, unpacked."""
         columns = self.length if columns is None else columns
-        out = np.empty((hi - lo, columns), dtype=np.uint16)
-        for i, rows in _unpacked(self.keys[lo:hi], self.bits, columns):
+        out = np.empty((self.n, columns), dtype=np.uint16)
+        for i, rows in _unpacked(self.keys, self.bits, columns):
             out[i : i + rows.shape[0]] = rows
         return out
 
-    def _adjacent_lcps(self, lo: int, hi: int) -> np.ndarray:
-        """LCP of each row in ``(lo, hi)`` with the row before it, from XORs of their keys."""
-        out = np.empty(max(0, hi - lo - 1), dtype=np.int32)
-        step = max(1, CHUNK_BYTES // (4 * self.keys.shape[1]))
-        for i in range(lo, hi - 1, step):
-            j = min(hi - 1, i + step)
-            x = self.keys[i + 1 : j + 1] ^ self.keys[i:j]
-            out[i - lo : j - lo] = _xor_lcps(x, self.bits, self.length)
+    def _adjacent_lcps(self) -> np.ndarray:
+        """LCP of each sorted row with the row before it, from XORs of their keys."""
+        out = np.empty(max(0, self.n - 1), dtype=np.int32)
+        step = max(1, CHUNK_BYTES // (4 * self._width))
+        for i in range(0, self.n - 1, step):
+            j = min(self.n - 1, i + step)
+            out[i:j] = _xor_lcps(self.keys[i + 1 : j + 1] ^ self.keys[i:j], self.bits, self.length)
         return out
 
     @property
-    def level_offset(self) -> np.ndarray:
-        """First node id of each depth ``0..L``, then the node count (derived)."""
-        return level_offsets(self._adjacent_lcps(0, self.n), self.n, self.length)
-
-    @property
     def node_count(self) -> int:
-        return int(self.level_offset[-1])
+        """Nodes of the implicit trie: ``1 + L + sum(L - adj)``, or 1 when empty."""
+        if self.n == 0:
+            return 1
+        adj = self._adjacent_lcps()
+        return 1 + self.length + self.length * adj.size - int(adj.sum(dtype=np.int64))
 
     def new_work_report(self) -> WorkReport:
         return WorkReport(c_sym=self.c_sym)
@@ -459,16 +395,6 @@ class TrieIndex:
     @property
     def root(self) -> TrieNodeView:
         return TrieNodeView(self, 0, 0, self.n)
-
-    def node(self, node_id: int) -> TrieNodeView:
-        adj = self._adjacent_lcps(0, self.n)
-        offsets = level_offsets(adj, self.n, self.length)
-        if not (0 <= node_id < int(offsets[-1])):
-            raise InvalidInputError(f"node id {node_id} out of range")
-        depth = int(np.searchsorted(offsets, node_id, side="right")) - 1
-        bounds = np.append(level_starts(adj, self.n, depth), self.n)
-        j = node_id - int(offsets[depth])
-        return TrieNodeView(self, depth, int(bounds[j]), int(bounds[j + 1]))
 
     # -- prefix tiers --------------------------------------------------------
 

@@ -190,6 +190,34 @@ def test_vocab_with_invalid_utf8_is_data_error(tmp_path, capsys):
     assert "bad.vocab" in err and "byte 5" in err
 
 
+def test_vocab_with_a_repeated_token_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\nc d\n")
+    out_path = str(tmp_path / "index.lcpi")
+    assert run(capsys, "build", str(corpus), "-o", out_path, "--text")[0] == 0
+    vocab = tmp_path / "dup.vocab"
+    vocab.write_text("a\nb\nc\na\n")
+    code, _, err = run(capsys, "query", out_path, "--query", "a b", "--vocab", str(vocab))
+    assert code == 3
+    assert "dup.vocab:4" in err and "'a'" in err and "line 1" in err
+
+
+def test_only_build_writes_the_vocabulary(tmp_path, capsys):
+    corpus = tmp_path / "tokens.txt"
+    corpus.write_text("up up down\nup down down\ndown up up\n")
+    assert run(capsys, "verify", "--dataset", str(corpus), "--text", "--queries", "5")[0] == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["tokens.txt"]
+    out_path = str(tmp_path / "index.lcpi")
+    assert run(capsys, "build", str(corpus), "-o", out_path, "--text")[0] == 0
+    vocab = tmp_path / "tokens.txt.vocab"
+    assert vocab.read_text() == "up\ndown\n"
+    vocab.unlink()
+    code, out, _ = run(capsys, "query", out_path, "--query", "0 0 1", "--verify-oracle",
+                       "--dataset", str(corpus), "--text")
+    assert code == 0 and out.rstrip().splitlines()[-1] == "OK"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.lcpi", "tokens.txt"]
+
+
 def test_query_file_with_invalid_utf8_is_data_error(dataset_file, tmp_path, capsys):
     _, data_path = dataset_file
     out_path = str(tmp_path / "index.lcpi")

@@ -9,6 +9,7 @@ import pytest
 from lcpsearch import (
     Dataset,
     InvalidInputError,
+    QueryCache,
     WorkReport,
     build,
     build_tal,
@@ -16,6 +17,7 @@ from lcpsearch import (
     generate_queries,
     landauer_gap,
     landauer_limit,
+    memoized_query,
     oracle_top_k,
     work_reduction,
 )
@@ -474,6 +476,7 @@ def test_long_sequences_answer_with_bounded_scratch(monkeypatch):
 
 
 def test_trie_and_tal_reject_the_same_queries():
+    # and so do the memo path and the oracle, through the same validator
     ds = generate_dataset(40, 6, 4, seed=35)
     index, engine = build(ds), build_tal(ds, 4)
     for bad in (
@@ -485,12 +488,20 @@ def test_trie_and_tal_reject_the_same_queries():
         [True, False, True, False, True, False],
         ["1", "2", "3", "0", "1", "2"],
         np.array([0, 1, 2, 3, 0, 1], dtype="m8[s]"),
+        np.array([0, 1, 2, 3, 0, 1], dtype=np.float64),
+        [0, 1, 2, 70000, 0, 1],
+        np.zeros(0, dtype=np.int64),
     ):
         with pytest.raises(InvalidInputError) as trie_error:
             index.query(bad, 3)
-        with pytest.raises(InvalidInputError) as tal_error:
-            engine.query(bad, 3)
-        assert str(trie_error.value) == str(tal_error.value)
+        for answer in (
+            lambda: engine.query(bad, 3),
+            lambda: memoized_query(index, bad, 3, cache=QueryCache()),
+            lambda: oracle_top_k(ds, bad, 3),
+        ):
+            with pytest.raises(InvalidInputError) as error:
+                answer()
+            assert str(error.value) == str(trie_error.value)
 
 
 def test_result_dtypes_are_the_same_for_empty_and_non_empty_results():

@@ -1,7 +1,5 @@
 """Trie construction, descent, collection, and query semantics."""
 
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,8 +38,9 @@ def test_identical_items_share_one_path():
     n = 9
     index = small([[1, 2, 3]] * n)
     assert index.node_count == 3 + 1
-    leaf = index.root.children()[0].children()[0].children()[0]
-    assert leaf.posting.tolist() == list(range(n))
+    leaf, depth = index.descend([1, 2, 3])
+    assert depth == 3
+    assert index.order[leaf.row_lo : leaf.row_hi].tolist() == list(range(n))
     assert leaf.subtree_size == n
 
 
@@ -73,37 +72,20 @@ def test_build_rejects_two_to_the_31_items():
 def test_posting_lists_cover_every_item_once():
     ds = generate_dataset(300, 8, 3, seed=9)
     index = build(ds)
-    leaves_level = index.level_offset[ds.length], index.level_offset[ds.length + 1]
     seen = np.sort(index.order)
     assert seen.tolist() == list(range(300))
-    # postings live only at full depth
-    total = sum(
-        index.node(i).posting.size for i in range(int(leaves_level[0]), int(leaves_level[1]))
-    )
-    assert total == 300
-
-
-def test_children_iterate_in_ascending_symbol_order():
-    ds = generate_dataset(200, 6, 16, seed=4)
-    index = build(ds)
-    stack = [index.root]
-    while stack:
-        node = stack.pop()
-        kids = node.children()
-        syms = [k.edge_symbol for k in kids]
-        assert syms == sorted(syms)
-        stack.extend(kids)
-
-
-def test_subtree_recurrence_holds_at_every_node():
-    ds = generate_dataset(150, 7, 3, seed=13)
-    index = build(ds)
-    stack = [index.root]
-    while stack:
-        node = stack.pop()
-        kids = node.children()
-        assert node.subtree_size == node.posting.size + sum(k.subtree_size for k in kids)
-        stack.extend(kids)
+    # the full-depth node of each row lists the items equal to it, ascending
+    leaves = set()
+    for row in ds.items:
+        leaf, depth = index.descend(row)
+        assert depth == ds.length
+        equal = np.flatnonzero((ds.items == row).all(axis=1))
+        assert index.order[leaf.row_lo : leaf.row_hi].tolist() == equal.tolist()
+        leaves.add((leaf.row_lo, leaf.row_hi))
+    # and those nodes partition the rows
+    bounds = sorted(leaves)
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == 300
 
 
 def naive_trie_node_count(rows) -> int:
@@ -120,9 +102,24 @@ def naive_trie_node_count(rows) -> int:
     return count(root)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_node_count_matches_naive_pointer_trie(seed):
-    ds = generate_dataset(80, 6, 3, seed=seed)
+@pytest.mark.parametrize(
+    "n, length, sigma, seed, rows",
+    [pytest.param(80, 6, 3, seed, "uniform", id=str(seed)) for seed in range(5)]
+    + [pytest.param(n, 6, 3, 0, "uniform", id=f"n{n}") for n in (0, 1)]
+    + [pytest.param(50, 6, 3, 0, "equal", id="equal-rows")]
+    # keys of 1 to 7 bytes, and of 12 and 34 bytes at sigma = 65536
+    + [
+        pytest.param(60, length, sigma, 11, "clustered", id=f"sigma{sigma}-L{length}")
+        for sigma in (2, 3, 5, 65536)
+        for length in (1, 6, 17)
+    ],
+)
+def test_node_count_matches_naive_pointer_trie(n, length, sigma, seed, rows):
+    if rows == "equal":
+        row = generate_dataset(1, length, sigma, seed=seed).items
+        ds = Dataset.from_rows(np.repeat(row, n, axis=0), sigma)
+    else:
+        ds = generate_dataset(n, length, sigma, seed=seed, distribution=rows)
     index = build(ds)
     assert index.node_count == naive_trie_node_count(ds.items)
 
@@ -142,7 +139,8 @@ def test_descend_no_shared_first_symbol():
     index = small([[0, 1, 2], [0, 1, 3]])
     node, depth = index.descend([3, 1, 2])
     assert depth == 0
-    assert node.node_id == 0
+    root = index.root
+    assert (node.depth, node.row_lo, node.row_hi) == (root.depth, root.row_lo, root.row_hi)
 
 
 def test_descend_partial():
@@ -172,32 +170,15 @@ def test_descend_correctness_every_outside_item_matches_shorter():
 # collection
 # ---------------------------------------------------------------------------
 
-def bfs_reference(node):
-    """Literal breadth-first enumeration with symbol-sorted children."""
-    out = []
-    queue = deque([node])
-    while queue:
-        u = queue.popleft()
-        out.extend(u.posting.tolist())
-        for child in u.children():
-            queue.append(child)
-    return out
-
-
-def test_bfs_emission_equals_lexicographic_slice():
-    ds = generate_dataset(180, 5, 3, seed=6)
-    index = build(ds)
-    for node in (index.root, index.root.children()[0]):
-        assert bfs_reference(node) == index.order[node.row_lo : node.row_hi].tolist()
-
-
 def test_collect_fast_path_returns_all_items():
     ds = generate_dataset(40, 6, 4, seed=3)
     index = build(ds)
-    node = index.root.children()[0]
-    got = index.collect_top_k(node, node.subtree_size + 10)
-    assert len(got) == node.subtree_size
-    assert got.tolist() == sorted(index.order[node.row_lo : node.row_hi].tolist())
+    # the root, and the node a query that copies one symbol of a row descends to
+    (q,) = generate_queries(ds, 1, seed=4, prefix_len=1)
+    for node in (index.root, index.descend(q)[0]):
+        got = index.collect_top_k(node, node.subtree_size + 10)
+        assert len(got) == node.subtree_size
+        assert got.tolist() == sorted(index.order[node.row_lo : node.row_hi].tolist())
 
 
 def test_collect_k1_from_duplicate_posting():
@@ -413,7 +394,7 @@ def _check_packed_index(ds, queries, k):
     assert index.keys.shape == (ds.n, trie.key_width(length, bits))
     assert index.nbytes == ds.n * (index.keys.shape[1] + 4)
     assert np.array_equal(index.rows, ds.items[index.order])
-    assert np.array_equal(index._adjacent_lcps(0, ds.n), adjacent_lcp(ds.items[index.order]))
+    assert np.array_equal(index._adjacent_lcps(), adjacent_lcp(ds.items[index.order]))
     index.check_invariants()
     engines = [TalEngine(index, b) for b in sorted({1, min(sigma, sigma**length)})]
     for q in queries:
@@ -461,7 +442,7 @@ def test_packed_lcps_are_exact_for_all_ones_xors(sigma, length):
     ds = Dataset.from_rows(rows[::-1], sigma)
     queries = [np.zeros(length, dtype=np.int64), rows[length // 2], rows[-1]]
     _check_packed_index(ds, queries, length + 1)
-    assert build(ds)._adjacent_lcps(0, ds.n).tolist() == list(range(length - 1, -1, -1))
+    assert build(ds)._adjacent_lcps().tolist() == list(range(length - 1, -1, -1))
     # only the longest runs, so that the zero query's window compare meets them
     near = Dataset.from_rows(np.concatenate((rows[:1], rows[-12:])), sigma)
     _check_packed_index(near, queries, 13)
@@ -487,5 +468,5 @@ def test_build_packs_and_sorts_across_chunks(monkeypatch, sigma, length):
     assert index.order.tolist() == order
     assert [bytes(key) for key in index.keys] == [keys[i] for i in order]
     assert np.array_equal(index.rows, ds.items[index.order])
-    assert np.array_equal(index._adjacent_lcps(0, ds.n), adjacent_lcp(ds.items[index.order]))
+    assert np.array_equal(index._adjacent_lcps(), adjacent_lcp(ds.items[index.order]))
     index.check_invariants()
